@@ -23,10 +23,10 @@ struct ScalingPoint {
 /// `--decode full` selects the stateless full-forward reference sampler;
 /// the default (`kv`) is the KV-cached incremental-decode engine.  Anything
 /// else aborts rather than silently benchmarking the wrong engine.
-inline nqs::DecodePolicy decodePolicy(const Args& args) {
+inline exec::DecodePolicy decodePolicy(const Args& args) {
   const std::string mode = args.get("decode", "kv");
-  if (mode == "full") return nqs::DecodePolicy::kFullForward;
-  if (mode == "kv") return nqs::DecodePolicy::kKvCache;
+  if (mode == "full") return exec::DecodePolicy::kFullForward;
+  if (mode == "kv") return exec::DecodePolicy::kKvCache;
   std::fprintf(stderr, "unknown --decode mode '%s' (expected 'kv' or 'full')\n",
                mode.c_str());
   std::exit(2);
@@ -95,12 +95,12 @@ inline void reportDecodeSpeedup(const Args& args, const nqs::QiankunNetConfig& n
   nqs::SamplerOptions sOpts;
   sOpts.nSamples = nSamples;
   sOpts.seed = 17;
-  sOpts.exec.decode = nqs::DecodePolicy::kKvCache;
+  sOpts.exec.decode = exec::DecodePolicy::kKvCache;
   sOpts.exec.kernel = kernelPolicy(args);
   Timer tKv;
   const std::size_t nuKv = nqs::batchAutoregressiveSample(net, sOpts).nUnique();
   const double kv = tKv.seconds();
-  sOpts.exec.decode = nqs::DecodePolicy::kFullForward;
+  sOpts.exec.decode = exec::DecodePolicy::kFullForward;
   Timer tFull;
   const std::size_t nuFull = nqs::batchAutoregressiveSample(net, sOpts).nUnique();
   const double full = tFull.seconds();
@@ -135,7 +135,7 @@ inline ScalingPoint scalingRun(const ops::PackedHamiltonian& packed,
   const vmc::VmcResult res = vmc::runVmc(packed, netCfg, opts);
   ScalingPoint pt;
   pt.ranks = ranks;
-  pt.kernel = ex.decode == nqs::DecodePolicy::kKvCache
+  pt.kernel = ex.decode == exec::DecodePolicy::kKvCache
                   ? nn::kernels::effectiveKernelName(ex.kernel)
                   : "full-fwd";
   pt.sampling = res.secondsPerIteration.sampling;

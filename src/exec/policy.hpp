@@ -4,20 +4,21 @@
 //
 // Every engine-selection knob of the stack lives here, in one dependency-free
 // header, so any layer can name a policy without pulling in the subsystem that
-// implements it.  The subsystems alias these types back into their historical
-// namespaces (nqs::DecodePolicy, nn::kernels::KernelPolicy, vmc::ElocMode,
-// parallel::CommBackend), so existing call sites compile unchanged.
+// implements it.  Some subsystems alias these types back into their historical
+// namespaces (nn::kernels::KernelPolicy, vmc::ElocMode, parallel::CommBackend);
+// DecodePolicy is spelled exec::DecodePolicy everywhere.
 
 namespace nnqs::exec {
 
 /// Which conditional-distribution engine the samplers — and, since the
 /// teacher-forced evaluate path, ln|Psi| inference — run on.
 ///
-/// kFullForward is the stateless reference path: every step re-runs a full
-/// transformer forward over the whole prefix window (O(L^2) token work per
-/// sweep).  kKvCache is the stateful incremental-decode engine: per-layer
-/// key/value caches make each step O(1) token work, with cache rows gathered
-/// onto the live frontier as sampling-tree nodes split or are pruned.  Both
+/// kFullForward is the stateless reference path: every step re-runs the
+/// tape-based full transformer forward over the whole prefix window (O(L^2)
+/// token work per sweep), in tiles of evalTileRows windows.  kKvCache is the
+/// stateful incremental-decode engine: per-layer key/value caches make each
+/// step O(1) token work, with cache rows gathered onto the live frontier as
+/// sampling-tree nodes split or are pruned.  Both
 /// produce bit-identical samples (and, via teacher forcing, bit-identical
 /// amplitudes) for a fixed seed.
 enum class DecodePolicy {
@@ -85,23 +86,23 @@ struct ExecutionPolicy {
   /// the untiled A/B reference.  Every geometry draws bit-identical sample
   /// sets (per-node RNG substreams), so this knob only moves cache traffic.
   int sweepTileRows = 0;
-  /// Rows per tile of the teacher-forced evaluate sweep (inference
-  /// amplitudes, kKvCache decode only): bounds the decode KV arena
-  /// independent of the batch size.  0 selects the engine default
-  /// (TransformerAR::kEvalTileRows); a negative value disables tiling — one
-  /// tile spanning the whole batch.  Every geometry is bit-identical (the
-  /// decode contract), so this knob only moves cache traffic.  Replaces the
-  /// tileRows argument the two-parameter QiankunNet::setEvalPolicy carried.
+  /// Rows per tile of inference: the teacher-forced evaluate sweep
+  /// (kKvCache), where it bounds the decode KV arena, and the full-forward
+  /// evaluate and conditionals (kFullForward), where it bounds the scratch
+  /// tape's activations; the phase MLP runs in the same tiles.  0 selects
+  /// the engine default (TransformerAR::kEvalTileRows); a negative value
+  /// disables tiling — one tile spanning the whole batch.  Every geometry is
+  /// bit-identical, so this knob only moves cache traffic and memory.
   int evalTileRows = 0;
   /// Samples per tile of the recompute-in-tiles gradient path
   /// (QiankunNet::evaluateGrad): each tile re-runs the recording forward,
   /// backprops, and releases its activations, bounding peak training
   /// activation memory at O(tile * L * d) independent of the batch size.
   /// 0 selects the engine default (TransformerAR::kEvalTileRows); a negative
-  /// value selects the monolithic full-batch cached-activation reference.
-  /// Ascending-tile accumulation order makes every geometry produce
-  /// bit-identical parameter gradients, so this knob only trades recompute
-  /// time against activation memory.
+  /// value runs one tile spanning the whole batch.  Ascending-tile
+  /// accumulation order makes every geometry produce bit-identical parameter
+  /// gradients, so this knob only trades per-tile overhead against
+  /// activation memory.
   int gradTileRows = 0;
   /// Fuse final-sweep evaluation into the BAS sweep: the per-step masked
   /// conditionals the sampler already computes are accumulated into ln|Psi|

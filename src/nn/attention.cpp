@@ -10,10 +10,9 @@
 
 namespace nnqs::nn {
 
-CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Index seqLen,
-                                         Rng& rng, std::string name)
+CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Rng& rng,
+                                         std::string name)
     : name_(name), d_(dModel), heads_(nHeads), headDim_(dModel / nHeads),
-      seqLen_(seqLen), window_(seqLen),
       qkv_(dModel, 3 * dModel, rng, name + ".qkv"),
       proj_(dModel, dModel, rng, name + ".proj") {
   if (dModel % nHeads != 0)
@@ -21,11 +20,10 @@ CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Index seqLe
 }
 
 namespace {
-/// Causal-softmax attention forward shared by the Tensor and tape paths: one
-/// arithmetic sequence (scores -> softmaxNormalize -> unnormalized context *
-/// rinv -> normalized weights), so the two gradient paths see bit-identical
-/// activations.  attn [B,H,L,L] is fully written (masked entries zeroed);
-/// ctx [B*L, D] must arrive zeroed (the context accumulates).
+/// Causal-softmax attention forward: scores -> softmaxNormalize ->
+/// unnormalized context * rinv -> normalized weights, the decode kernels'
+/// arithmetic contract.  attn [B,H,L,L] is fully written (masked entries
+/// zeroed); ctx [B*L, D] must arrive zeroed (the context accumulates).
 void attnForwardCore(const Real* qkv, Real* attn, Real* ctx, Index batch,
                      Index L, Index d, Index heads, Index headDim,
                      Real scale) {
@@ -67,11 +65,11 @@ void attnForwardCore(const Real* qkv, Real* attn, Real* ctx, Index batch,
     }
 }
 
-/// Attention backward core shared by the Tensor and tape paths.  dQkv must
-/// arrive zeroed; dA is per-thread scratch [nThreads * L] (fully rewritten
-/// per query row before use).  Writes of each (b,h) pair touch disjoint
-/// head-sliced columns, so the parallel accumulation is race-free and the
-/// per-element arithmetic order is thread-count independent.
+/// Attention backward core.  dQkv must arrive zeroed; dA is per-thread
+/// scratch [nThreads * L] (fully rewritten per query row before use).
+/// Writes of each (b,h) pair touch disjoint head-sliced columns, so the
+/// parallel accumulation is race-free and the per-element arithmetic order
+/// is thread-count independent.
 void attnBackwardCore(const Real* qkv, const Real* attn, const Real* dCtx,
                       Real* dQkv, Real* dAScratch, Index batch, Index Lc,
                       Index d, Index heads, Index headDim, Real scale) {
@@ -121,42 +119,17 @@ void attnBackwardCore(const Real* qkv, const Real* attn, const Real* dCtx,
 }
 }  // namespace
 
-Tensor CausalSelfAttention::forward(const Tensor& x, GradMode mode) {
-  const Index L = window_;
-  const Index rows = x.numel() / d_;
-  const Index batch = rows / L;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
-
-  Tensor qkv = qkv_.forward(x, mode);  // [B*L, 3D]: q | k | v per row
-  Tensor attn({batch, heads_, L, L});
-  Tensor ctx({rows, d_});
-
-  attnForwardCore(qkv.data.data(), attn.data.data(), ctx.data.data(), batch,
-                  L, d_, heads_, headDim_, scale);
-
-  if (mode == GradMode::kRecordTape) {
-    cachedQkv_ = qkv;
-    cachedAttn_ = attn;
-    cachedBatch_ = batch;
-    cachedWindow_ = L;
-    hasCache_ = true;
-  } else {
-    invalidateBecause(stale::kInferenceForward);
-  }
-  return proj_.forward(ctx, mode);
-}
-
 const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
-                                             const Real* x, Index rows) {
-  const Index L = window_;
+                                             const Real* x, Index rows,
+                                             Index window) const {
+  const Index L = window;
   const Index batch = rows / L;
   const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
 
-  invalidateBecause(stale::kTapeForward);
   const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
   Real* attn = tape.alloc(batch * heads_ * L * L);
   Real* ctx = tape.alloc(rows * d_);
-  // The context accumulates (the Tensor path's zero-filled constructor).
+  // The context accumulates.
   std::memset(ctx, 0, static_cast<std::size_t>(rows * d_) * sizeof(Real));
   attnForwardCore(qkv, attn, ctx, batch, L, d_, heads_, headDim_, scale);
   f.qkvOut = qkv;
@@ -166,31 +139,12 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
   return proj_.forwardTape(tape, f.proj, ctx, rows);
 }
 
-void CausalSelfAttention::invalidateBecause(const char* why) {
-  if (hasCache_) {
-    cachedQkv_ = Tensor{};
-    cachedAttn_ = Tensor{};
-    cachedBatch_ = 0;
-    cachedWindow_ = 0;
-    hasCache_ = false;
-    staleReason_ = why;
-  }
-  qkv_.invalidate();
-  proj_.invalidate();
-}
-
-void CausalSelfAttention::invalidate() { invalidateBecause(stale::kExplicit); }
-
 void CausalSelfAttention::decodeStep(const Real* x, Index batch,
                                      DecodeState& state, Index layer,
-                                     Real* out) {
+                                     Real* out) const {
   const Index pos = state.len;
   const Index maxLen = state.maxLen;
   const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
-
-  // A decode step is an inference forward: invalidate the backward cache
-  // like every other inference path (modules.hpp invariant).
-  invalidateBecause(stale::kDecodeStep);
 
   // [B, 3D]: q | k | v per row, on the GEMM backend of the state's policy,
   // carved from the decode workspace (no per-step tensor churn).
@@ -212,8 +166,8 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
     }
   }
 
-  // The attention kernel accumulates into ctx, so the carved span needs the
-  // explicit zero the Tensor constructor used to provide.
+  // The attention kernel accumulates into ctx, so the carved span needs an
+  // explicit zero.
   Real* ctx = state.ws.alloc(batch * d_);
   std::memset(ctx, 0, static_cast<std::size_t>(batch * d_) * sizeof(Real));
   kernels::DecodeAttnArgs args;
@@ -235,31 +189,9 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
   proj_.forwardInto(ctx, batch, out, state.kernel);
 }
 
-Tensor CausalSelfAttention::backward(const Tensor& dy) {
-  if (!hasCache_) throw StaleTapeError(name_, staleReason_);
-  const Index batch = cachedBatch_;
-  const Index Lc = cachedWindow_;
-  const Index rows = batch * Lc;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
-
-  Tensor dCtx = proj_.backward(dy);  // [B*L, D]
-  Tensor dQkv({rows, 3 * d_});
-#ifdef _OPENMP
-  const Index nThreads = omp_get_max_threads();
-#else
-  const Index nThreads = 1;
-#endif
-  std::vector<Real> dA(static_cast<std::size_t>(nThreads * Lc));
-  attnBackwardCore(cachedQkv_.data.data(), cachedAttn_.data.data(),
-                   dCtx.data.data(), dQkv.data.data(), dA.data(), batch, Lc,
-                   d_, heads_, headDim_, scale);
-  return qkv_.backward(dQkv);
-}
-
 Real* CausalSelfAttention::backwardTape(Tape& tape, const TapeFrame& f,
                                         const Real* dy) {
-  if (f.qkvOut == nullptr && f.batch > 0)
-    throw StaleTapeError(name_, "backwardTape frame was never recorded by forwardTape");
+  if (f.qkvOut == nullptr && f.batch > 0) throw StaleTapeError(name_);
   const Index batch = f.batch;
   const Index Lc = f.window;
   const Index rows = batch * Lc;

@@ -7,70 +7,40 @@
 
 namespace nnqs::nn {
 
-/// What a forward pass records for the subsequent backward.
-///
-///  - kInference: compute outputs only.  Invalidates any previously recorded
-///    activations (module-resident or tape-held): a backward() after an
-///    inference forward throws StaleTapeError instead of silently computing
-///    gradients against stale inputs.
-///  - kRecordTape: additionally store whatever the module needs so that a
-///    single subsequent backward() can return dx and accumulate parameter
-///    gradients.  The Tensor-level forward() records into module-resident
-///    caches (the monolithic gradient path); the raw forwardTape() entry
-///    points record into a caller-owned Tape instead (the tiled-recompute
-///    gradient path), so per-tile activations are released wholesale by
-///    Tape::reset() rather than living until the next forward.
+/// Mode of a QiankunNet::evaluate call.  Evaluation is inference only: the
+/// network's modules hold no activations between calls, and training runs
+/// through QiankunNet::evaluateGrad, which records and consumes its own
+/// activations tile by tile on a Tape.
 enum class GradMode {
   kInference,
-  kRecordTape,
 };
 
-/// backward() consumed-or-invalidated activation guard.  Thrown when a
-/// backward runs without a live recording forward; the message names the
-/// module instance and the event that invalidated (or never created) its
-/// activation record, in the typed-error style of io/checkpoint.hpp.
-/// Derives from std::logic_error so pre-existing catch sites keep working.
+/// Thrown when a module's backwardTape() is handed a frame that no
+/// forwardTape() has recorded.  The message names the module instance, in
+/// the typed-error style of io/checkpoint.hpp.  Derives from std::logic_error
+/// because it reports a caller bug.
 class StaleTapeError : public std::logic_error {
  public:
-  StaleTapeError(const std::string& module, const std::string& invalidatedBy)
-      : std::logic_error(module + ": backward without recorded activations (" +
-                         invalidatedBy + ")") {}
+  explicit StaleTapeError(const std::string& module)
+      : std::logic_error(module +
+                         ": backwardTape frame was never recorded by forwardTape") {}
 };
 
-/// Invalidation reasons recorded by the modules for StaleTapeError messages.
-/// String constants (not an enum) so the guarded single-writer update — the
-/// reason is only written while clearing a *live* cache, keeping invalidate()
-/// write-free when already clear, the concurrent-inference precondition — can
-/// stay a single pointer store.
-namespace stale {
-inline constexpr const char* kNeverRecorded =
-    "no GradMode::kRecordTape forward has run";
-inline constexpr const char* kInferenceForward =
-    "invalidated by a GradMode::kInference forward";
-inline constexpr const char* kRawForward =
-    "invalidated by a raw-buffer inference forward (forwardInto)";
-inline constexpr const char* kDecodeStep =
-    "invalidated by an incremental decodeStep";
-inline constexpr const char* kTapeForward =
-    "invalidated by a tape-recording forward onto a caller-owned Tape "
-    "(backward for it goes through backwardTape)";
-inline constexpr const char* kExplicit =
-    "invalidated by an explicit invalidate()";
-}  // namespace stale
-
-/// Caller-owned activation store of the tiled-recompute gradient path: one
+/// Caller-owned activation store of the full-sequence forward/backward: one
 /// bump-carve arena (nn::Workspace) holding a single tile's forward
-/// activations plus its backward scratch.  The tile loop resets the tape
-/// between tiles, so peak training activation memory is the high-water mark
-/// of ONE tile — O(tile * L * d) — independent of the batch size, and a warm
-/// tile (same shapes as the last) carves without touching the heap.
+/// activations plus its backward scratch.  Callers reset the tape between
+/// tiles, so peak activation memory is the high-water mark of ONE tile,
+/// O(tile * L * d), whatever the batch size.  A warm tile (same shapes as the
+/// last) carves without touching the heap.
 ///
 /// Recording convention: each module's forwardTape() carves its outputs (and
 /// any backward caches, e.g. LayerNorm's xhat/invStd) from the tape and
 /// stores the span pointers in a caller-held per-module frame struct;
 /// backwardTape() consumes the frame.  Spans stay valid until the next
-/// reset() — in particular a module may record its *input* span zero-copy,
-/// because that span is the previous module's tape-carved output.
+/// reset().  In particular a module may record its *input* span zero-copy,
+/// because that span is the previous module's tape-carved output.  Modules
+/// themselves keep no activations, so concurrent forwards on distinct tapes
+/// only read shared state (the parameters).
 class Tape {
  public:
   /// Drop every recorded span (start the next tile's carve cycle).

@@ -12,16 +12,21 @@
 
 namespace nnqs::nn {
 
+// The amplitude and phase networks.  Each network has one full-sequence
+// path, the tape pair forwardTape/backwardTape: training records a tile onto
+// a Tape and backprops it, and full-forward inference runs the same
+// forwardTape on a scratch tape and reads the outputs.  The amplitude network
+// also has the incremental decode engine (beginDecode/decodeStep/
+// evaluateDecode) for sampling and fast inference, bit-identical to the tape
+// forward.  No path stores activations in the modules, so every forward and
+// every decode step only reads the network.
+
 /// Pre-LN decoder block: x += MHSA(LN(x)); x += FF(LN(x)).
-class DecoderBlock : public Module {
+class DecoderBlock {
  public:
-  DecoderBlock(Index dModel, Index nHeads, Index ffDim, Index seqLen, Rng& rng,
-               std::string name);
-  using Module::forward;
-  Tensor forward(const Tensor& x, GradMode mode) override;
-  Tensor backward(const Tensor& dy) override;
-  void collectParameters(std::vector<Parameter*>& out) override;
-  void setWindow(Index w) { attn_.setWindow(w); }
+  DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng,
+               const std::string& name);
+  void collectParameters(std::vector<Parameter*>& out);
 
   /// Incremental decode of one token per row at position `state.len`,
   /// reading/extending layer `layer`'s slice of the KV arena.  The residual
@@ -32,13 +37,13 @@ class DecoderBlock : public Module {
   /// ln1 — so no separate residual sweep ever runs on the decode path.  All
   /// buffers are carved from `state.ws`; a warm step touches no heap.
   void decodeStep(const Real* a, const Real* r, DecodeState& state, Index layer,
-                  const Real** aOut, const Real** rOut);
+                  const Real** aOut, const Real** rOut) const;
 
-  /// Tile-recompute record of one block: submodule frames plus the two
-  /// residual streams (block input x, post-attention h), all tape-resident.
-  /// Arithmetic mirrors the Tensor forward exactly — separate (unfused)
-  /// LayerNorms and explicit residual adds, NOT the fused decode kernels —
-  /// so replayed tiles reproduce the monolithic activations bit for bit.
+  /// Tape record of one block over rows = B * window: submodule frames plus
+  /// the two residual streams (block input x, post-attention h), all
+  /// tape-resident.  Separate (unfused) LayerNorms and explicit residual
+  /// adds, NOT the fused decode kernels; the fused kernels reproduce the
+  /// same bits (the decode contract).
   struct TapeFrame {
     LayerNorm::TapeFrame ln1, ln2;
     CausalSelfAttention::TapeFrame attn;
@@ -48,12 +53,9 @@ class DecoderBlock : public Module {
     const Real* h = nullptr;  ///< post-attention residual stream [rows, d]
     Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                          Index window) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
-
-  /// Invalidate every submodule's backward cache (write-free when already
-  /// clear; see TransformerAR::evaluateDecode's tile-parallel driver).
-  void invalidate();
 
  private:
   Index d_, ffDim_;
@@ -71,23 +73,18 @@ class TransformerAR {
   TransformerAR(Index seqLen, Index dModel, Index nHeads, Index nLayers,
                 Rng& rng);
 
-  /// tokens is a flattened [B, L'] window (L' <= seqLen); returns logits
-  /// [B, L', 4].
-  Tensor forward(const std::vector<int>& tokens, Index window, GradMode mode);
-  [[deprecated("use forward(tokens, window, GradMode)")]]
-  Tensor forward(const std::vector<int>& tokens, Index window, bool cache) {
-    return forward(tokens, window,
-                   cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
-  /// Backprop dLogits [B, L', 4]; accumulates parameter gradients.
-  void backward(const Tensor& dLogits);
   void collectParameters(std::vector<Parameter*>& out);
 
-  /// Tile-recompute record of the whole amplitude net for one tile of rows
-  /// (rows = tileBatch * window).  The frame is caller-owned and reused
-  /// across tiles (the blocks vector keeps its capacity), so a warm tile
-  /// records without heap allocations; every activation lives on `tape` and
-  /// is released wholesale by the caller's Tape::reset().
+  /// The full-sequence forward of the whole amplitude net over one tile of
+  /// samples: tokens is a flattened [tileBatch, window] token window
+  /// (window <= seqLen, BOS first), rows = tileBatch * window.  Training
+  /// (QiankunNet::evaluateGrad) records a tile and backprops it; full-forward
+  /// inference runs the same call on a scratch tape and reads the logits.
+  /// The frame is caller-owned and reused across tiles (the blocks vector
+  /// keeps its capacity), so a warm tile records without heap allocations;
+  /// every activation lives on `tape` and is released wholesale by the
+  /// caller's Tape::reset().  Per-row activations do not depend on the other
+  /// rows of the tile, so any tiling of a batch gives the same logits.
   struct TapeFrame {
     std::vector<DecoderBlock::TapeFrame> blocks;
     LayerNorm::TapeFrame lnf;
@@ -98,10 +95,10 @@ class TransformerAR {
   };
   /// Returns the tile's logits [rows, 4] (tape-resident).
   const Real* forwardTape(Tape& tape, TapeFrame& f, const int* tokens,
-                          Index rows, Index window);
-  /// Backward through the recorded tile; accumulates parameter gradients in
-  /// the same kernel fold order as backward(), so ascending-tile calls are
-  /// bit-identical to the monolithic backward.
+                          Index rows, Index window) const;
+  /// Backward through the recorded tile; every parameter gradient
+  /// accumulates in an ascending-row fold, so ascending-tile calls are
+  /// bit-identical to one tile spanning the batch.
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dLogits);
 
   /// Start a stateful incremental decode over `batch` rows (KV caches sized
@@ -109,20 +106,20 @@ class TransformerAR {
   void beginDecode(DecodeState& state, Index batch,
                    kernels::KernelPolicy kernel = kernels::KernelPolicy::kAuto) const;
   /// Feed tokens[B] at position state.len and return the next-outcome logits
-  /// [B, 4].  Bit-identical to the last position of forward() over the same
-  /// prefixes.  Advances state.len.  The returned tensor is `state.logits`
+  /// [B, 4].  Bit-identical to the last position of forwardTape() over the
+  /// same prefixes.  Advances state.len.  The returned tensor is `state.logits`
   /// (state-owned, overwritten by the next step): with every activation
   /// carved from the state's workspace, a warm step performs zero heap
   /// allocations.
-  const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens);
+  const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens) const;
 
   /// Teacher-forced batched evaluation on the incremental-decode engine:
-  /// `tokens` is the flattened [B, L'] input window exactly as forward()
+  /// `tokens` is the flattened [B, L'] input window exactly as forwardTape()
   /// takes it (BOS first), but instead of one O(B*L'^2)-activation full
   /// forward, each position is produced by decodeStep with the *known* next
   /// token per row.  After every step, `sink(row0, rows, s, logits)` receives
   /// the [rows, 4] logits of global rows [row0, row0+rows) at position s —
-  /// bit-identical to the corresponding positions of forward() (the decode
+  /// bit-identical to the corresponding positions of forwardTape() (the decode
   /// contract), consumed in ascending (tile, s) order so callers can stream
   /// per-row reductions without materializing a [B, L', 4] buffer.
   ///
@@ -149,7 +146,7 @@ class TransformerAR {
   template <typename Sink>
   void evaluateDecode(DecodeState& state, const std::vector<int>& tokens,
                       Index batch, Index window, Index tileRows,
-                      kernels::KernelPolicy kernel, Sink&& sink) {
+                      kernels::KernelPolicy kernel, Sink&& sink) const {
     if (static_cast<Index>(tokens.size()) != batch * window)
       throw std::invalid_argument("evaluateDecode: tokens/batch/window mismatch");
     if (window > seqLen_)
@@ -175,12 +172,8 @@ class TransformerAR {
     if ((kernel == kernels::KernelPolicy::kThreaded ||
          kernel == kernels::KernelPolicy::kAuto) &&
         maxThreads > 1 && batch > tileRows) {
-      // The worker threads share this network's modules.  Their decodeStep
-      // invalidation calls are write-free only once every backward cache is
-      // already clear, so clear them all here, on the calling thread, before
-      // forking — after this the tile sweeps only *read* shared state
-      // (parameters), and all mutation is per-thread (DecodeState).
-      invalidateDecodeCaches();
+      // The worker threads share this network's modules, which decodeStep
+      // only reads; all mutation is per-thread (DecodeState).
       // Shrink the tile (not below kMinEvalTileRows, where the per-step
       // GEMMs lose their efficiency) until the tile count covers the thread
       // pool — otherwise a batch of 2 tiles on a 16-thread host would pin 14
@@ -215,21 +208,15 @@ class TransformerAR {
   static constexpr int kVocab = 5;
   static constexpr int kBos = 4;
   static constexpr int kOutcomes = 4;
-  /// Default evaluateDecode tile: big enough that the per-step GEMMs run at
-  /// full micro-kernel efficiency, small enough that a tile's KV arena
-  /// (2 layers * 2 * 256 * L * d) stays inside L2/L3 at the decode shapes.
+  /// Default tile of evaluateDecode and of the tiled full-sequence passes
+  /// (QiankunNet's full-forward inference and evaluateGrad): big enough that
+  /// the GEMMs run at full micro-kernel efficiency, small enough that a
+  /// tile's KV arena (2 layers * 2 * 256 * L * d) stays inside L2/L3 at the
+  /// decode shapes.
   static constexpr Index kEvalTileRows = 256;
   /// Floor when the tile-parallel driver shrinks tiles to cover the thread
   /// pool: below this the per-step GEMMs are too short to amortize.
   static constexpr Index kMinEvalTileRows = 32;
-
-  /// Clear every amplitude module's backward cache (each write-free when
-  /// already clear), making subsequent decode steps mutation-free on shared
-  /// module state — the precondition of the tile-parallel evaluate sweep,
-  /// and (public since the serving layer) of concurrent evaluateDecode calls
-  /// from multiple threads on distinct DecodeStates
-  /// (QiankunNet::prepareConcurrent).
-  void invalidateDecodeCaches();
 
  private:
   Index seqLen_, d_;
@@ -237,52 +224,40 @@ class TransformerAR {
   std::vector<std::unique_ptr<DecoderBlock>> blocks_;
   LayerNorm lnFinal_;
   Linear head_;
-  Index cachedWindow_ = 0;
 };
 
-/// Phase sub-network: an MLP phi(x) on the +-1 encoded qubit string.
+/// Phase sub-network: an MLP phi(x) on the +-1 encoded qubit string,
+/// [Linear, tanh] x nHidden followed by a Linear to one output.
 class PhaseMlp {
  public:
   PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng);
 
-  /// x: [B, nQubits] of +-1; returns [B] phases.
-  Tensor forward(const Tensor& x, GradMode mode);
-  [[deprecated("use forward(x, GradMode)")]]
-  Tensor forward(const Tensor& x, bool cache) {
-    return forward(x, cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
-
-  /// Raw-buffer inference: x [rows, nQubits] (caller storage, possibly carved
+  /// Inference: x [rows, nQubits] of +-1 (caller storage, possibly carved
   /// from `ws` itself), phases written to out[rows]; every intermediate
   /// activation is carved from `ws` inside the *caller's* carve cycle (no
-  /// reset here).  Bit-identical to forward(GradMode::kInference) — the
-  /// Linear layers run the same kernels::gemm and the tanh layers the same
-  /// per-element std::tanh — but performs zero heap allocations once `ws` is
-  /// warm and, after invalidate(), never writes shared module state: the
-  /// serving layer runs this concurrently from many worker threads.
+  /// reset here).  Bit-identical to forwardTape() — the Linear layers run the
+  /// same kernels::gemm and the tanh layers the same per-element std::tanh —
+  /// but performs zero heap allocations once `ws` is warm and only reads the
+  /// network, so serving threads run it concurrently.
   void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
-                   kernels::KernelPolicy policy);
+                   kernels::KernelPolicy policy) const;
 
-  /// Tile-recompute record: one Linear frame per Linear layer, one TanhAct
-  /// frame per activation, caller-owned and reused across tiles.  Returns
-  /// the tile's phases [rows] (tape-resident).
+  /// Tape record: one Linear frame per Linear layer, one TanhAct frame per
+  /// activation, caller-owned and reused across tiles.  Returns the tile's
+  /// phases [rows] (tape-resident).
   struct TapeFrame {
     std::vector<Linear::TapeFrame> linear;
     std::vector<TanhAct::TapeFrame> tanh;
     Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dPhase);
 
-  /// Clear every layer's backward cache (each write-free when already clear);
-  /// the precondition for concurrent forwardInto calls.
-  void invalidate();
-
-  void backward(const Tensor& dPhase);
   void collectParameters(std::vector<Parameter*>& out);
 
  private:
-  std::vector<std::unique_ptr<Module>> layers_;
+  std::vector<Linear> linear_;  ///< nHidden hidden layers, then the output layer
+  std::vector<TanhAct> tanh_;   ///< the activation after each hidden layer
 };
 
 }  // namespace nnqs::nn

@@ -10,6 +10,11 @@ namespace {
 /// the SIMD kernels and false sharing between spans is impossible.
 constexpr std::size_t kAlignReals = 8;
 
+/// Smallest overflow chunk: one 2 MiB huge page, which HugeBuffer allocates
+/// and zeroes for any smaller request anyway.  Sizing side chunks below it
+/// would touch a whole huge page per small span of a cold cycle.
+constexpr std::size_t kMinChunkReals = (std::size_t{2} << 20) / sizeof(Real);
+
 std::size_t alignUp(std::size_t n) {
   return (n + kAlignReals - 1) & ~(kAlignReals - 1);
 }
@@ -52,11 +57,11 @@ Real* Workspace::alloc(Index n) {
     return p;
   }
   // Mid-cycle growth: live spans pin the primary block, so overflow goes to a
-  // fresh side chunk (sized like a capacity doubling), coalesced away by the
-  // next reset().
+  // fresh side chunk (sized like a capacity doubling, and at least one huge
+  // page), coalesced away by the next reset().
   if (overflow_.empty() || overflowUsed_ + need > overflow_.back().size()) {
     const std::size_t chunk =
-        std::max(need, std::max(block_.size(), std::size_t{1} << 12));
+        std::max(need, std::max(block_.size(), kMinChunkReals));
     overflow_.emplace_back();
     overflow_.back().assignZero(chunk);
     overflowUsed_ = 0;

@@ -46,6 +46,24 @@ std::array<bool, 4> QiankunNet::outcomeMask(int s, int nUp, int nDown) const {
   return mask;
 }
 
+Index QiankunNet::tileFor(Index knob, Index batch) {
+  if (knob < 0) return std::max<Index>(batch, 1);
+  return knob > 0 ? knob : nn::TransformerAR::kEvalTileRows;
+}
+
+template <typename Sink>
+void QiankunNet::forwardTiles(const std::vector<int>& tokens, Index batch,
+                              Index window, Sink&& sink) {
+  const Index tile = tileFor(evalTileRows_, batch);
+  for (Index t0 = 0; t0 < batch; t0 += tile) {
+    const Index tb = std::min(tile, batch - t0);
+    evalTape_.reset();
+    const Real* logits = amplitude_.forwardTape(
+        evalTape_, evalFrame_, tokens.data() + t0 * window, tb * window, window);
+    sink(t0, tb, logits);
+  }
+}
+
 std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
                                            int batch, int s,
                                            const std::vector<std::array<int, 2>>& counts) {
@@ -58,15 +76,15 @@ std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
       tokens[static_cast<std::size_t>(b * window + 1 + j)] =
           prefixTokens[static_cast<std::size_t>(b * s + j)];
   }
-  nn::Tensor logits = amplitude_.forward(tokens, window, nn::GradMode::kInference);
   // Take the last position of each prefix, mask, softmax.
   std::vector<Real> probs(static_cast<std::size_t>(batch) * 4);
-  for (int b = 0; b < batch; ++b) {
-    const Real* lg = logits.data.data() + (static_cast<Index>(b) * window + s) * 4;
-    const auto mask = outcomeMask(s, counts[static_cast<std::size_t>(b)][0],
-                                  counts[static_cast<std::size_t>(b)][1]);
-    maskedSoftmax4(lg, mask, probs.data() + static_cast<std::size_t>(b) * 4);
-  }
+  forwardTiles(tokens, batch, window, [&](Index t0, Index tb, const Real* logits) {
+    for (Index b = 0; b < tb; ++b) {
+      const auto row = static_cast<std::size_t>(t0 + b);
+      const auto mask = outcomeMask(s, counts[row][0], counts[row][1]);
+      maskedSoftmax4(logits + (b * window + s) * 4, mask, probs.data() + row * 4);
+    }
+  });
   return probs;
 }
 
@@ -123,7 +141,7 @@ void QiankunNet::inputTokens(const std::vector<Bits128>& samples,
 }
 
 void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
-                            int& nDown, Real& la, Real* pr) {
+                            int& nDown, Real& la, Real* pr) const {
   const auto mask = outcomeMask(s, nUp, nDown);
   maskedSoftmax4(lg, mask, pr);
   const int chosen = tokenOf(sample, s);
@@ -137,35 +155,25 @@ void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
 }
 
 void QiankunNet::amplitudesFullForward(const std::vector<Bits128>& samples,
-                                       std::vector<Real>& logAmp,
-                                       nn::GradMode mode) {
-  const bool record = mode == nn::GradMode::kRecordTape;
+                                       std::vector<Real>& logAmp) {
   const int L = nSteps();
-  const Index batch = static_cast<Index>(samples.size());
   inputTokens(samples, evalTokens_);
-  nn::Tensor logits = amplitude_.forward(evalTokens_, L, mode);
-
-  nn::Tensor probs;
-  if (record) probs = nn::Tensor({batch, L, 4});
   logAmp.assign(samples.size(), 0.0);
-  for (Index b = 0; b < batch; ++b) {
-    int nUp = 0, nDown = 0;
-    Real la = 0;
-    Real prLocal[4];
-    for (int s = 0; s < L; ++s) {
-      const Real* lg = logits.data.data() + (b * L + s) * 4;
-      Real* pr = record ? probs.data.data() + (b * L + s) * 4 : prLocal;
-      stepLogAmp(lg, samples[static_cast<std::size_t>(b)], s, nUp, nDown, la, pr);
-      if (la <= kLogZero) break;
-    }
-    logAmp[static_cast<std::size_t>(b)] = la;
-  }
-
-  if (record) {
-    cachedBatch_ = static_cast<long>(samples.size());
-    cachedSamples_ = samples;
-    cachedProbs_ = std::move(probs);
-  }
+  forwardTiles(evalTokens_, static_cast<Index>(samples.size()), L,
+               [&](Index t0, Index tb, const Real* logits) {
+                 for (Index b = 0; b < tb; ++b) {
+                   const auto row = static_cast<std::size_t>(t0 + b);
+                   int nUp = 0, nDown = 0;
+                   Real la = 0;
+                   Real pr[4];
+                   for (int s = 0; s < L; ++s) {
+                     stepLogAmp(logits + (b * L + s) * 4, samples[row], s, nUp,
+                                nDown, la, pr);
+                     if (la <= kLogZero) break;
+                   }
+                   logAmp[row] = la;
+                 }
+               });
 }
 
 void QiankunNet::amplitudesDecode(const std::vector<Bits128>& samples,
@@ -185,12 +193,9 @@ void QiankunNet::amplitudesDecode(const std::vector<Bits128>& samples,
   // (its remaining teacher-forced steps cost nothing but the shared GEMMs).
   evalUp_.assign(samples.size(), 0);
   evalDown_.assign(samples.size(), 0);
-  // ExecutionPolicy::evalTileRows: 0 = engine default (resolved inside
-  // evaluateDecode), negative = untiled (one tile spanning the batch).
-  const Index tileRows =
-      evalTileRows_ < 0 ? std::max<Index>(batch, 1) : evalTileRows_;
   amplitude_.evaluateDecode(
-      evalState_, evalTokens_, batch, L, tileRows, evalKernel_,
+      evalState_, evalTokens_, batch, L, tileFor(evalTileRows_, batch),
+      evalKernel_,
       [&](Index t0, Index tb, Index s, const Real* logits) {
         for (Index b = 0; b < tb; ++b) {
           const auto row = static_cast<std::size_t>(t0 + b);
@@ -204,54 +209,37 @@ void QiankunNet::amplitudesDecode(const std::vector<Bits128>& samples,
 
 void QiankunNet::evaluate(const std::vector<Bits128>& samples,
                           std::vector<Real>& logAmp, std::vector<Real>& phase,
-                          nn::GradMode mode) {
-  const bool record = mode == nn::GradMode::kRecordTape;
-  // Amplitude ln|Psi|.  A recording evaluate must run the full forward
-  // (backward() consumes the activations only it stores); inference follows
-  // the policy.
-  if (record || evalPolicy_ == DecodePolicy::kFullForward)
-    amplitudesFullForward(samples, logAmp, mode);
+                          nn::GradMode /*mode: kInference*/) {
+  if (evalPolicy_ == exec::DecodePolicy::kFullForward)
+    amplitudesFullForward(samples, logAmp);
   else
     amplitudesDecode(samples, logAmp);
-
-  // Phase network on the +-1 encoded qubit string.
-  phaseForward(samples, phase, mode);
-
-  // An inference evaluate invalidates like the modules' inference forwards
-  // (modules.hpp invariant): backward() after it throws instead of mixing
-  // stale cachedProbs_/cachedSamples_ with the fresh activations.
-  if (!record) invalidateEvaluate(nn::stale::kInferenceForward);
+  phases(samples, phase);
 }
 
-void QiankunNet::phaseForward(const std::vector<Bits128>& samples,
-                              std::vector<Real>& phase, nn::GradMode mode) {
-  const Index batch = static_cast<Index>(samples.size());
-  nn::Tensor xin({batch, cfg_.nQubits});
-  for (Index b = 0; b < batch; ++b)
+void QiankunNet::encodePhaseInput(const std::vector<Bits128>& samples,
+                                  Index row0, Index rows, Real* x) const {
+  for (Index b = 0; b < rows; ++b)
     for (int q = 0; q < cfg_.nQubits; ++q)
-      xin.data[static_cast<std::size_t>(b * cfg_.nQubits + q)] =
-          samples[static_cast<std::size_t>(b)].get(q) ? 1.0 : -1.0;
-  nn::Tensor ph = phase_.forward(xin, mode);
-  phase.resize(samples.size());
-  for (Index b = 0; b < batch; ++b)
-    phase[static_cast<std::size_t>(b)] = ph.data[static_cast<std::size_t>(b)];
+      x[b * cfg_.nQubits + q] =
+          samples[static_cast<std::size_t>(row0 + b)].get(q) ? 1.0 : -1.0;
 }
 
 void QiankunNet::phases(const std::vector<Bits128>& samples,
                         std::vector<Real>& phase) {
-  phaseForward(samples, phase, nn::GradMode::kInference);
-  // Same invalidation contract as an inference evaluate: the phase MLP's
-  // activation cache is gone, so a backward() before the next recording
-  // evaluate must throw rather than mix stale activations.
-  invalidateEvaluate(nn::stale::kInferenceForward);
-}
-
-void QiankunNet::invalidateEvaluate(const char* why) {
-  if (cachedBatch_ < 0) return;  // write-free when already clear
-  cachedBatch_ = -1;
-  cachedSamples_.clear();
-  cachedProbs_ = nn::Tensor{};
-  staleReason_ = why;
+  const Index batch = static_cast<Index>(samples.size());
+  const Index tile = tileFor(evalTileRows_, batch);
+  // The decode workspace is idle between amplitude passes, so the phase
+  // tiles are carved from it instead of from a buffer of their own.
+  nn::Workspace& ws = evalState_.ws;
+  phase.resize(samples.size());
+  for (Index t0 = 0; t0 < batch; t0 += tile) {
+    const Index tb = std::min(tile, batch - t0);
+    ws.reset();
+    Real* xin = ws.alloc(tb * cfg_.nQubits);
+    encodePhaseInput(samples, t0, tb, xin);
+    phase_.forwardInto(ws, xin, tb, phase.data() + t0, evalKernel_);
+  }
 }
 
 Complex QiankunNet::psiValue(Real logAmp, Real phase) {
@@ -278,66 +266,20 @@ void QiankunNet::seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr,
   }
 }
 
-void QiankunNet::backward(const std::vector<Real>& dLogAmp,
-                          const std::vector<Real>& dPhase) {
-  if (cachedBatch_ < 0) throw nn::StaleTapeError("QiankunNet", staleReason_);
-  if (cachedBatch_ == 0) {  // empty chunk: gradients stay zero
-    cachedBatch_ = -1;
-    staleReason_ = "already consumed by a previous backward";
-    return;
-  }
-  const int L = nSteps();
-  const Index batch = static_cast<Index>(cachedSamples_.size());
-
-  nn::Tensor dLogits({batch, L, 4});
-  for (Index b = 0; b < batch; ++b) {
-    const Real seed = dLogAmp[static_cast<std::size_t>(b)];
-    if (seed == 0.0) continue;
-    for (int s = 0; s < L; ++s)
-      seedLogitRow(seed, cachedSamples_[static_cast<std::size_t>(b)], s,
-                   cachedProbs_.data.data() + (b * L + s) * 4,
-                   dLogits.data.data() + (b * L + s) * 4);
-  }
-  amplitude_.backward(dLogits);
-
-  nn::Tensor dPh({batch, 1});
-  for (Index b = 0; b < batch; ++b) dPh.data[static_cast<std::size_t>(b)] = dPhase[static_cast<std::size_t>(b)];
-  phase_.backward(dPh);
-
-  cachedSamples_.clear();
-  cachedProbs_ = nn::Tensor{};
-  cachedBatch_ = -1;
-  staleReason_ = "already consumed by a previous backward";
-}
-
 void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
                               const std::vector<Real>& dLogAmp,
                               const std::vector<Real>& dPhase) {
   if (dLogAmp.size() != samples.size() || dPhase.size() != samples.size())
     throw std::invalid_argument("QiankunNet::evaluateGrad: seed/sample size mismatch");
 
-  // Monolithic cached-activation reference (gradTileRows < 0): one recording
-  // full forward + the Tensor-level backward.
-  if (gradTileRows_ < 0) {
-    std::vector<Real> la, ph;
-    evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    backward(dLogAmp, dPhase);
-    return;
-  }
-
-  // This call records and consumes its own per-tile activations; any
-  // previously recorded evaluate is stale from here on.
-  invalidateEvaluate(nn::stale::kTapeForward);
-
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  const Index tile =
-      gradTileRows_ > 0 ? gradTileRows_ : nn::TransformerAR::kEvalTileRows;
+  const Index tile = tileFor(gradTileRows_, batch);
 
   // Tiles run SEQUENTIALLY in ascending order: every per-parameter
   // accumulation is a strictly sequential ascending-row fold that the tile
   // boundaries merely partition, so this ordering — not any tolerance — is
-  // what makes the result bit-identical to the monolithic backward.
+  // what makes every tile size give the same bits as one tile of the batch.
   // Parallelism stays inside the per-tile kernels.
   for (Index t0 = 0; t0 < batch; t0 += tile) {
     const Index tb = std::min(tile, batch - t0);
@@ -354,16 +296,16 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
             tokenOf(samples[static_cast<std::size_t>(t0 + b)], s);
     }
 
-    // Recompute this tile's teacher-forced forward onto the tape: only this
-    // tile's activations exist (the previous tile's were released by the
-    // reset above).  Per-row activations are batch-composition-independent,
-    // so the logits equal the monolithic forward's rows [t0, t0+tb).
+    // This tile's teacher-forced forward onto the tape: only this tile's
+    // activations exist (the previous tile's were released by the reset
+    // above).  Per-row activations are batch-composition-independent, so the
+    // logits equal rows [t0, t0+tb) of a whole-batch forward.
     const Real* logits =
         amplitude_.forwardTape(gradTape_, ampFrame_, gradTokens_.data(), rows, L);
 
-    // Masked conditionals + loss seeds for the tile, both tape-carved.
-    // Zero-filled like their Tensor counterparts: rows that leave the
-    // number-conserving support keep pr = 0 past the exit (no gradient).
+    // Masked conditionals + loss seeds for the tile, both tape-carved and
+    // zero-filled: rows that leave the number-conserving support keep pr = 0
+    // past the exit (no gradient).
     Real* probs = gradTape_.alloc(rows * 4);
     std::memset(probs, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
     for (Index b = 0; b < tb; ++b) {
@@ -390,27 +332,13 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
     // Phase MLP, tiled the same way (disjoint parameter set, so interleaving
     // amplitude/phase tiles preserves each parameter's ascending-row fold).
     Real* xin = gradTape_.alloc(tb * cfg_.nQubits);
-    for (Index b = 0; b < tb; ++b)
-      for (int q = 0; q < cfg_.nQubits; ++q)
-        xin[b * cfg_.nQubits + q] =
-            samples[static_cast<std::size_t>(t0 + b)].get(q) ? 1.0 : -1.0;
+    encodePhaseInput(samples, t0, tb, xin);
     phase_.forwardTape(gradTape_, phaseFrame_, xin, tb);
     Real* dPh = gradTape_.alloc(tb);
     for (Index b = 0; b < tb; ++b)
       dPh[b] = dPhase[static_cast<std::size_t>(t0 + b)];
     phase_.backwardTape(gradTape_, phaseFrame_, dPh);
   }
-}
-
-void QiankunNet::prepareConcurrent() {
-  // Clear every backward cache on this (single) thread.  All the
-  // invalidate() calls the decode sweep and the phase MLP's forwardInto
-  // perform afterwards hit already-clear caches, which the modules guarantee
-  // to be write-free — so concurrent evaluateInto() calls only read shared
-  // network state (parameters), and all mutation lands in per-caller slots.
-  amplitude_.invalidateDecodeCaches();
-  phase_.invalidate();
-  invalidateEvaluate(nn::stale::kExplicit);
 }
 
 void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
@@ -436,14 +364,10 @@ void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& sample
         }
       });
 
-  // Phase: the same +-1 encoding and MLP arithmetic as phaseForward, via the
-  // raw workspace path (forwardInto) so no shared tensors are built.
+  // Phase: the same +-1 encoding and MLP arithmetic as phases().
   slot.phaseWs.reset();
   Real* xin = slot.phaseWs.alloc(batch * cfg_.nQubits);
-  for (Index b = 0; b < batch; ++b)
-    for (int q = 0; q < cfg_.nQubits; ++q)
-      xin[b * cfg_.nQubits + q] =
-          samples[static_cast<std::size_t>(b)].get(q) ? 1.0 : -1.0;
+  encodePhaseInput(samples, 0, batch, xin);
   phase.resize(samples.size());
   phase_.forwardInto(slot.phaseWs, xin, batch, phase.data(), kernel);
 }

@@ -11,12 +11,6 @@
 
 namespace nnqs::nqs {
 
-/// Which conditional-distribution engine the samplers — and, since the
-/// teacher-forced evaluate path, ln|Psi| inference — run on.  Enumerators
-/// (kFullForward / kKvCache) live in exec/policy.hpp, the consolidated
-/// ExecutionPolicy home; this alias keeps the historical nqs:: spelling.
-using DecodePolicy = exec::DecodePolicy;
-
 /// Configuration of the QiankunNet wave-function ansatz (paper Fig. 2 and
 /// §4.1 defaults: two decoders, d_model 16, 4 heads, 512-wide phase MLP).
 struct QiankunNetConfig {
@@ -34,6 +28,14 @@ struct QiankunNetConfig {
 /// QiankunNet: Psi(x) = |Psi(x)| e^{i phi(x)} with an autoregressive
 /// transformer amplitude (two qubits = one spatial orbital per step, sampled
 /// in reverse JW qubit order as in the paper) and an MLP phase.
+///
+/// Two engines run the amplitude network.  The incremental decode engine
+/// (KV caches, one position per step) drives sampling, kKvCache inference
+/// and the serving path.  The tape engine (TransformerAR::forwardTape /
+/// backwardTape) is the one full-sequence path: evaluateGrad records and
+/// backprops it tile by tile, and kFullForward inference and conditionals()
+/// run its forward on a scratch tape, tile by tile.  The network's modules
+/// hold no activations, so inference never writes network state.
 class QiankunNet {
  public:
   explicit QiankunNet(const QiankunNetConfig& cfg);
@@ -62,10 +64,11 @@ class QiankunNet {
   /// batch of B prefixes of length s (tokens flattened [B, s]); counts are
   /// the per-prefix (up, down) electron counts.  Output [B, 4].
   ///
-  /// This is the stateless reference path: it re-runs a full transformer
-  /// forward over every prefix (O(s) token work per step).  The stateful
-  /// beginDecode/stepConditionals pair below computes the same distributions
-  /// bit for bit with O(1) token work per step via per-layer KV caches.
+  /// This is the full-forward reference path: it re-runs the tape forward
+  /// over every prefix (O(s) token work per step), in tiles of evalTileRows
+  /// prefixes.  The stateful beginDecode/stepConditionals pair below
+  /// computes the same distributions bit for bit with O(1) token work per
+  /// step via per-layer KV caches.
   std::vector<Real> conditionals(const std::vector<int>& prefixTokens, int batch,
                                  int s, const std::vector<std::array<int, 2>>& counts);
 
@@ -99,52 +102,33 @@ class QiankunNet {
   }
 
   /// Select the amplitude-inference and gradient engines of
-  /// evaluate()/psi()/evaluateGrad() from an ExecutionPolicy
+  /// evaluate()/psi()/conditionals()/evaluateGrad() from an ExecutionPolicy
   /// (exec/policy.hpp): decode/kernel pick the inference engine (the
-  /// KV-cached teacher-forced decode sweep by default, or the stateless
-  /// full-forward reference — bit-identical, so they only move the wall
-  /// clock); evalTileRows bounds the decode KV arena and gradTileRows the
-  /// recompute-gradient tile (both 0 = engine default, negative = untiled).
-  ///
-  /// The inference policy applies to GradMode::kInference evaluations: a
-  /// recording evaluate must run the full forward regardless, because
-  /// backward() consumes the activations only that path stores.
+  /// KV-cached teacher-forced decode sweep by default, or the tape-based
+  /// full forward — bit-identical, so they only move the wall clock);
+  /// evalTileRows is the inference tile of both engines and gradTileRows the
+  /// training tile (both 0 = TransformerAR::kEvalTileRows, negative = one
+  /// tile spanning the batch).
   void setEvalPolicy(const exec::ExecutionPolicy& exec) {
     evalPolicy_ = exec.decode;
     evalKernel_ = exec.kernel;
     evalTileRows_ = exec.evalTileRows;
     gradTileRows_ = exec.gradTileRows;
   }
-  /// One-release migration shim: the tiling knob moved into the policy
-  /// struct itself (ExecutionPolicy::evalTileRows), so one struct carries
-  /// every tiling knob.
-  [[deprecated("set ExecutionPolicy::evalTileRows and call setEvalPolicy(exec)")]]
-  void setEvalPolicy(const exec::ExecutionPolicy& exec, Index tileRows) {
-    exec::ExecutionPolicy p = exec;
-    p.evalTileRows = static_cast<int>(tileRows);
-    setEvalPolicy(p);
-  }
-  [[nodiscard]] DecodePolicy evalPolicy() const { return evalPolicy_; }
+  [[nodiscard]] exec::DecodePolicy evalPolicy() const { return evalPolicy_; }
 
-  /// ln|Psi| and phase for a batch of samples.  GradMode::kRecordTape stores
-  /// activations for exactly one subsequent backward() (always full-forward);
-  /// GradMode::kInference runs the engine selected by setEvalPolicy() and
-  /// *invalidates* any recorded evaluate, so a stale backward() throws
-  /// (nn::StaleTapeError naming the invalidating event) instead of using old
-  /// activations.
+  /// ln|Psi| and phase for a batch of samples, on the engine selected by
+  /// setEvalPolicy().  kInference is the only GradMode: gradients come from
+  /// evaluateGrad().  Not safe to call concurrently (it uses the net's own
+  /// evaluation scratch); concurrent callers use evaluateInto().
   void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
                 std::vector<Real>& phase, nn::GradMode mode);
-  [[deprecated("use evaluate(samples, logAmp, phase, GradMode)")]]
-  void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
-                std::vector<Real>& phase, bool cache) {
-    evaluate(samples, logAmp, phase,
-             cache ? nn::GradMode::kRecordTape : nn::GradMode::kInference);
-  }
 
   /// Phase-only inference: phi(x) per sample via the phase MLP, skipping the
   /// amplitude network entirely.  The complement of the fused BAS sweep,
   /// which produces ln|Psi| as a sampling by-product (SampleSet::logAmp) but
-  /// never touches the phase MLP.  Invalidates like a cache=false evaluate.
+  /// never touches the phase MLP.  Runs in tiles of evalTileRows samples;
+  /// evaluate() computes its phases through this call.
   void phases(const std::vector<Bits128>& samples, std::vector<Real>& phase);
 
   /// ln|Psi| sentinel for samples outside the number-conserving support
@@ -162,40 +146,32 @@ class QiankunNet {
   /// Complex psi values (convenience; the evaluate() entry point + psiValue).
   std::vector<Complex> psi(const std::vector<Bits128>& samples);
 
-  /// Backprop the VMC loss seeds d/d(ln|Psi|) and d/d(phi) per sample of the
-  /// last recording evaluate().
-  void backward(const std::vector<Real>& dLogAmp, const std::vector<Real>& dPhase);
-
-  /// The recompute-in-tiles training step: forward + backward over `samples`
-  /// with the given per-sample loss seeds, accumulating parameter gradients
-  /// without ever materializing the full batch's activations.  The batch is
-  /// swept in ascending `gradTileRows`-sample tiles (ExecutionPolicy;
-  /// 0 = TransformerAR::kEvalTileRows); each tile re-runs the teacher-forced
-  /// full forward onto the tape — only that tile's activations exist —
-  /// backprops the tile, and releases the tape, bounding peak training
-  /// activation memory at O(tile * L * d) independent of the batch size.
+  /// The training step: forward + backward over `samples` with the given
+  /// per-sample loss seeds d/d(ln|Psi|) and d/d(phi), accumulating parameter
+  /// gradients.  The batch is swept in ascending `gradTileRows`-sample tiles
+  /// (ExecutionPolicy; 0 = TransformerAR::kEvalTileRows, negative = one tile
+  /// of the whole batch); each tile runs the teacher-forced full forward onto
+  /// the tape — only that tile's activations exist — backprops the tile, and
+  /// resets the tape, bounding peak training activation memory at
+  /// O(tile * L * d) independent of the batch size.
   ///
-  /// Gradients are **bit-identical** to evaluate(kRecordTape) + backward():
-  /// forward activations are per-row batch-composition-independent, every
-  /// per-parameter accumulation (GEMM accumulate=true ascending-k fold,
-  /// LayerNorm ascending-row fold, embedding/bias ascending-row loops) is a
-  /// strictly sequential ascending-row fold that tile boundaries merely
-  /// partition, and tiles are swept sequentially in ascending order — the
-  /// ordering IS the bit-identity mechanism, so tiles are never parallelized
-  /// (threading stays inside the per-tile kernels).  gradTileRows < 0 runs
-  /// the monolithic cached-activation reference instead.  A warm call (same
-  /// shapes as the last) performs zero heap allocations on the tiled path:
-  /// all per-tile storage lives on the owned Tape arena.
-  ///
-  /// Invalidates any recorded evaluate (this call records and consumes its
-  /// own activations tile by tile).
+  /// Gradients are **bit-identical** across tile sizes: forward activations
+  /// are per-row batch-composition-independent, every per-parameter
+  /// accumulation (GEMM accumulate=true ascending-k fold, LayerNorm
+  /// ascending-row fold, embedding/bias ascending-row loops) is a strictly
+  /// sequential ascending-row fold that tile boundaries merely partition,
+  /// and tiles are swept sequentially in ascending order — the ordering IS
+  /// the bit-identity mechanism, so tiles are never parallelized (threading
+  /// stays inside the per-tile kernels).  A warm call (same shapes as the
+  /// last) performs zero heap allocations: all per-tile storage lives on the
+  /// owned Tape arena.
   void evaluateGrad(const std::vector<Bits128>& samples,
                     const std::vector<Real>& dLogAmp,
                     const std::vector<Real>& dPhase);
 
-  /// Arena accounting of the tiled gradient path's tape: highWater is the
-  /// peak Reals live in any one tile — the measured "peak training
-  /// activation memory" BM_BackwardTiled reports and the README quotes.
+  /// Arena accounting of the training tape: highWater is the peak Reals live
+  /// in any one tile — the measured "peak training activation memory"
+  /// BM_BackwardTiled reports and the README quotes.
   [[nodiscard]] const nn::Workspace::Stats& gradTapeStats() const {
     return gradTape_.stats();
   }
@@ -223,21 +199,19 @@ class QiankunNet {
     nn::Workspace phaseWs;
   };
 
-  /// Make subsequent evaluateInto() calls safe to run concurrently from many
-  /// threads (each with its own EvalSlot): clears every module's backward
-  /// cache — after which the per-step invalidate() calls inside the decode
-  /// sweep are write-free — and drops any cached evaluate, so inference only
-  /// *reads* shared network state.  Call once after construction/loading and
-  /// after any cache=true evaluate; concurrent callers must not interleave
-  /// with evaluate()/phases()/backward() (which mutate shared scratch).
-  void prepareConcurrent();
+  /// Kept for source compatibility; does nothing.  evaluateInto() calls are
+  /// safe to run concurrently from many threads (each with its own EvalSlot)
+  /// without any preparation, because no inference path writes network
+  /// state.  They must not interleave with evaluateGrad() or optimizer steps,
+  /// which write the parameters.
+  void prepareConcurrent() {}
 
   /// ln|Psi| and phase of `samples` using only `slot` for mutable state —
-  /// bit-identical to a cache=false evaluate() under the kKvCache policy with
-  /// the same kernel, for any batch composition (per-row arithmetic is
-  /// independent of the surrounding batch, the serving layer's coalescing
-  /// contract).  `kernel` should be a non-forking policy (kSimd/kScalar) when
-  /// called from concurrent workers; `tileRows` as in setEvalPolicy.
+  /// bit-identical to evaluate() under either policy with the same kernel,
+  /// for any batch composition (per-row arithmetic is independent of the
+  /// surrounding batch, the serving layer's coalescing contract).  `kernel`
+  /// should be a non-forking policy (kSimd/kScalar) when called from
+  /// concurrent workers; `tileRows` as ExecutionPolicy::evalTileRows.
   void evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                     std::vector<Real>& logAmp, std::vector<Real>& phase,
                     nn::kernels::KernelPolicy kernel =
@@ -250,71 +224,73 @@ class QiankunNet {
   /// full-forward and the teacher-forced decode path consume its layout.
   void inputTokens(const std::vector<Bits128>& samples, std::vector<int>& out) const;
 
-  /// ln|Psi| of `samples` via the stateless full transformer forward;
-  /// kRecordTape additionally stores the masked conditionals into
-  /// cachedProbs_ ([B, L, 4], the layout backward() consumes).
+  /// Samples per tile for an ExecutionPolicy tile knob (evalTileRows or
+  /// gradTileRows): 0 = TransformerAR::kEvalTileRows, negative = the whole
+  /// batch.
+  [[nodiscard]] static Index tileFor(Index knob, Index batch);
+
+  /// Full-forward inference over `batch` token windows of length `window`
+  /// (tokens flattened [batch, window]): runs the tape forward on the scratch
+  /// tape in ascending tiles of tileFor(evalTileRows_, batch) windows,
+  /// resetting the tape between tiles, and hands each tile's logits
+  /// [tb * window, 4] to sink(t0, tb, logits).
+  template <typename Sink>
+  void forwardTiles(const std::vector<int>& tokens, Index batch, Index window,
+                    Sink&& sink);
+
+  /// ln|Psi| of `samples` via the tiled tape forward (forwardTiles).
   void amplitudesFullForward(const std::vector<Bits128>& samples,
-                             std::vector<Real>& logAmp, nn::GradMode mode);
+                             std::vector<Real>& logAmp);
   /// ln|Psi| via the teacher-forced incremental-decode sweep
   /// (TransformerAR::evaluateDecode).  Bit-identical to the full-forward
   /// path; zero heap allocations once warm.
   void amplitudesDecode(const std::vector<Bits128>& samples,
                         std::vector<Real>& logAmp);
 
-  /// The phase-MLP forward shared by evaluate() and phases(): +-1 encode the
-  /// qubit strings, run the MLP, copy the scalar outputs.
-  void phaseForward(const std::vector<Bits128>& samples,
-                    std::vector<Real>& phase, nn::GradMode mode);
+  /// +-1 encode samples [row0, row0 + rows) into x [rows, nQubits], the
+  /// phase MLP's input layout.
+  void encodePhaseInput(const std::vector<Bits128>& samples, Index row0,
+                        Index rows, Real* x) const;
 
   /// d ln|Psi| / d logits for one (sample, position): dl[4] must arrive
-  /// zeroed; pr[4] are that position's masked conditionals.  The single
-  /// seed-to-logit-gradient point of both the monolithic backward() and the
-  /// tiled evaluateGrad(), so their arithmetic cannot drift apart.
+  /// zeroed; pr[4] are that position's masked conditionals.
   void seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr, Real* dl) const;
-
-  /// Drop any recorded evaluate (write-free when none), recording `why` for
-  /// the StaleTapeError a subsequent backward() raises.
-  void invalidateEvaluate(const char* why);
 
   /// Fold position s's masked log-conditional of `sample` (given its logits
   /// lg[4]) into the running (la, nUp, nDown); pr[4] receives the masked
-  /// conditionals (the cachedProbs_ slot backward() consumes).  The single
-  /// accumulation step of *both* amplitude paths, so their arithmetic — and
+  /// conditionals (the slot evaluateGrad's loss seeds consume).  The single
+  /// accumulation step of every amplitude path, so their arithmetic — and
   /// the decode-vs-full bit-identity contract — cannot drift apart.
   void stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp, int& nDown,
-                  Real& la, Real* pr);
+                  Real& la, Real* pr) const;
 
   QiankunNetConfig cfg_;
   Rng rng_;
   nn::TransformerAR amplitude_;
   nn::PhaseMlp phase_;
-  // Inference-engine selection of evaluate()/psi() (setEvalPolicy).
-  DecodePolicy evalPolicy_ = DecodePolicy::kKvCache;
+  // Engine selection of evaluate()/psi()/conditionals()/evaluateGrad()
+  // (setEvalPolicy).
+  exec::DecodePolicy evalPolicy_ = exec::DecodePolicy::kKvCache;
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
-  Index evalTileRows_ = 0;
-  Index gradTileRows_ = 0;  ///< 0 = default tile; < 0 = monolithic reference
-  // Tiled-gradient scratch (evaluateGrad): the per-tile activation tape, the
+  Index evalTileRows_ = 0;  ///< 0 = default tile; < 0 = one tile of the batch
+  Index gradTileRows_ = 0;  ///< 0 = default tile; < 0 = one tile of the batch
+  // Training scratch (evaluateGrad): the per-tile activation tape, the
   // tile's marshalled tokens, and the caller-owned module frames.  All reuse
-  // their capacity, so a warm tiled training step allocates nothing.
+  // their capacity, so a warm training step allocates nothing.
   nn::Tape gradTape_;
   std::vector<int> gradTokens_;
   nn::TransformerAR::TapeFrame ampFrame_;
   nn::PhaseMlp::TapeFrame phaseFrame_;
-  // Persistent evaluation scratch: the decode state (KV arena + workspace),
-  // the marshalled input tokens, and the per-row (up, down) running counts.
-  // All re-use their capacity, so the warm decode-path *amplitude* sweep of
-  // any batch size allocates nothing (the contract BM_Evaluate asserts); the
-  // phase MLP still builds its input/output tensors per call.
+  // Inference scratch: the decode state (KV arena + workspace, which the
+  // phase MLP's tiles reuse), the scratch tape and frame of the full-forward
+  // engine, the marshalled input tokens, and the per-row (up, down) running
+  // counts.  All re-use their capacity, so warm inference of any batch size
+  // allocates nothing beyond its output vectors.
   nn::DecodeState evalState_;
+  nn::Tape evalTape_;
+  nn::TransformerAR::TapeFrame evalFrame_;
   std::vector<int> evalTokens_;
   std::vector<int> evalUp_, evalDown_;
-  // Backward caches.  cachedBatch_ == -1 means "no cached forward"; an empty
-  // cached batch (0) makes backward a no-op so ranks that received no samples
-  // still participate in the gradient collectives with zero contributions.
-  long cachedBatch_ = -1;
-  std::vector<Bits128> cachedSamples_;
-  nn::Tensor cachedProbs_;  ///< [B, L, 4] masked conditional probabilities
-  const char* staleReason_ = nn::stale::kNeverRecorded;
   std::vector<nn::Parameter*> paramCache_;
 };
 

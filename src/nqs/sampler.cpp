@@ -84,7 +84,7 @@ std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
   return out;
 }
 
-Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng, DecodePolicy decode,
+Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng, exec::DecodePolicy decode,
                                 nn::kernels::KernelPolicy kernel) {
   const int L = net.nSteps();
   std::vector<int> tokens;
@@ -92,10 +92,10 @@ Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng, DecodePolicy decode,
   Bits128 x;
   nn::DecodeState state;
   std::vector<int> prev;
-  if (decode == DecodePolicy::kKvCache) net.beginDecode(state, 1, kernel);
+  if (decode == exec::DecodePolicy::kKvCache) net.beginDecode(state, 1, kernel);
   for (int s = 0; s < L; ++s) {
     const std::vector<Real> probs =
-        decode == DecodePolicy::kKvCache
+        decode == exec::DecodePolicy::kKvCache
             ? net.stepConditionals(state, prev, {counts})
             : net.conditionals(tokens, 1, s, {counts});
     const Real u = rng.uniform();
@@ -332,7 +332,7 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
                                        std::uint64_t uniqueThreshold) {
   const int L = net_.nSteps();
   seed_ = opts.seed;
-  kv_ = opts.exec.decode == DecodePolicy::kKvCache;
+  kv_ = opts.exec.decode == exec::DecodePolicy::kKvCache;
   carry_ = opts.carryTokenPrefixes || !kv_;
   fused_ = opts.exec.fusedSweep;
   if (!kv_ || opts.exec.sweepTileRows < 0)

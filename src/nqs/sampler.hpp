@@ -31,8 +31,8 @@ struct SampleSet {
   }
 };
 
-// DecodePolicy (the kFullForward / kKvCache engine selector shared by the
-// samplers and the teacher-forced evaluate path) lives in nqs/ansatz.hpp.
+// exec::DecodePolicy (the kFullForward / kKvCache engine selector shared by
+// the samplers and the evaluate paths) lives in exec/policy.hpp.
 
 struct SamplerOptions {
   std::uint64_t nSamples = 1 << 12;  ///< N_s; can be huge (the paper uses 1e12)
@@ -62,7 +62,7 @@ std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
 
 /// Fig. 3(a): plain autoregressive sampling, one bitstring per call.
 Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
-                                DecodePolicy decode = DecodePolicy::kKvCache,
+                                exec::DecodePolicy decode = exec::DecodePolicy::kKvCache,
                                 nn::kernels::KernelPolicy kernel =
                                     nn::kernels::KernelPolicy::kAuto);
 

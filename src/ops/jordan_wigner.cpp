@@ -1,7 +1,7 @@
 #include "ops/jordan_wigner.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <omp.h>
 #include <unordered_map>
 
 #include "common/logging.hpp"
@@ -12,6 +12,9 @@ namespace nnqs::ops {
 namespace {
 
 using TermMap = std::unordered_map<PauliString, Complex, PauliStringHash>;
+
+/// Antisymmetrized pairs (p<q) per parallel work block of the two-body part.
+constexpr std::size_t kPairBlock = 8;
 
 void accumulate(TermMap& map, const PauliSum& sum, Complex scale) {
   for (const auto& t : sum) {
@@ -59,28 +62,38 @@ SpinHamiltonian jordanWigner(const scf::MoIntegrals& mo, Real cutoff) {
   for (int p = 0; p < nso; ++p)
     for (int q = p + 1; q < nso; ++q) pairs.emplace_back(p, q);
 
-  const int nThreads = omp_get_max_threads();
-  std::vector<TermMap> partial(static_cast<std::size_t>(nThreads));
-
+  // The pair list is cut into fixed blocks whose size does not depend on the
+  // thread count.  Each block sums its terms into a block-local map in
+  // ascending pair order, and the blocks merge into `total` in ascending
+  // block order (the ordered region), so every coefficient is summed in one
+  // order whatever the thread count or schedule: the result is
+  // bit-reproducible.  Blocks still run in parallel; only the merges are
+  // serialized, and they overlap the other threads' block work.
+  const std::size_t nBlocks = (pairs.size() + kPairBlock - 1) / kPairBlock;
 #pragma omp parallel
   {
-    TermMap& local = partial[static_cast<std::size_t>(omp_get_thread_num())];
+    TermMap local;
     local.reserve(1 << 14);
-#pragma omp for schedule(dynamic, 8)
-    for (std::size_t ip = 0; ip < pairs.size(); ++ip) {
-      const auto [p, q] = pairs[ip];
-      const PauliSum bra = multiply(jwLadder(p, true), jwLadder(q, true));
-      for (const auto& [r, s] : pairs) {
-        // <pq||rs> with physicist <pq|rs> = (pr|qs) delta-spin.
-        const Real anti = mo.eriSoAnti(p, q, r, s);
-        if (std::abs(anti) < cutoff) continue;
-        // a+_p a+_q a_s a_r  (note operator order: s before r).
-        const PauliSum ket = multiply(jwLadder(s, false), jwLadder(r, false));
-        accumulate(local, multiply(bra, ket), anti);
+#pragma omp for ordered schedule(dynamic, 1)
+    for (std::size_t blk = 0; blk < nBlocks; ++blk) {
+      local.clear();
+      const std::size_t end = std::min(pairs.size(), (blk + 1) * kPairBlock);
+      for (std::size_t ip = blk * kPairBlock; ip < end; ++ip) {
+        const auto [p, q] = pairs[ip];
+        const PauliSum bra = multiply(jwLadder(p, true), jwLadder(q, true));
+        for (const auto& [r, s] : pairs) {
+          // <pq||rs> with physicist <pq|rs> = (pr|qs) delta-spin.
+          const Real anti = mo.eriSoAnti(p, q, r, s);
+          if (std::abs(anti) < cutoff) continue;
+          // a+_p a+_q a_s a_r  (note operator order: s before r).
+          const PauliSum ket = multiply(jwLadder(s, false), jwLadder(r, false));
+          accumulate(local, multiply(bra, ket), anti);
+        }
       }
+#pragma omp ordered
+      mergeInto(total, local);
     }
   }
-  for (const auto& part : partial) mergeInto(total, part);
 
   SpinHamiltonian h;
   h.nQubits = nso;

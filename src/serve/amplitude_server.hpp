@@ -10,9 +10,9 @@
 // flushed as soon as it reaches `maxBatch` rows, or when the *oldest* queued
 // request has waited `maxDelayUs`, whichever comes first (during shutdown the
 // queue drains immediately).  Each worker evaluates on its own
-// QiankunNet::EvalSlot — the PR 5 per-thread-state isolation pattern — after
-// a single prepareConcurrent() at load time, so the warm serve loop performs
-// zero heap allocations and never writes shared network state.
+// QiankunNet::EvalSlot (per-thread state isolation); inference only reads
+// the network, so the warm serve loop performs zero heap allocations and
+// never writes shared network state.
 //
 // Determinism contract: per-row decode arithmetic is independent of the
 // surrounding batch (each GEMM row is its own ascending-k accumulation;

@@ -62,7 +62,7 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     nqs::QiankunNet net(netConfig);
     // Route psi inference (the Eloc LUT evaluation below — the largest batch
     // the network ever sees) through the same decode/kernel policies as
-    // sampling; cache=true gradient evaluates stay full-forward regardless.
+    // sampling; the training step (evaluateGrad) always runs the tape.
     net.setEvalPolicy(ex);
     // The sweep engine persists across iterations: its decode arena, frontier
     // blocks and output set keep their capacity, so steady-state sampling
@@ -270,11 +270,10 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       // --- Stage 5: backward on the own chunk -----------------------------
       Timer t4;
       // The loss seeds depend only on eloc/eMean/weights, so they are
-      // computed up front and the forward+backward runs through the
-      // recompute-in-tiles gradient path (ExecutionPolicy::gradTileRows):
-      // peak training activation memory is one tile's, not the chunk's, and
-      // the accumulated gradients are bit-identical to the monolithic
-      // recording-evaluate + backward this replaced.
+      // computed up front and the forward+backward runs tile by tile on the
+      // training tape (ExecutionPolicy::gradTileRows): peak training
+      // activation memory is one tile's, not the chunk's, and the
+      // accumulated gradients are bit-identical at every tile size.
       std::vector<Real> dLogAmp(local.nUnique()), dPhase(local.nUnique());
       for (std::size_t i = 0; i < local.nUnique(); ++i) {
         const Complex delta = eloc[i] - eMean;

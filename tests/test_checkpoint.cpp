@@ -255,7 +255,7 @@ TEST(Checkpoint, TruncationThrowsAtEveryLayer) {
 TEST(Checkpoint, SchemaErrorsNameTheField) {
   nqs::QiankunNet a(smallConfig());
   const CheckpointReader r(netImage(a));
-  EXPECT_THROW(r.getU64("does.not.exist"), SchemaError);
+  EXPECT_THROW((void)r.getU64("does.not.exist"), SchemaError);
   // Kind mismatch: net.cfg.nQubits is a u64, not a real array.
   EXPECT_THROW(r.getRealArray("net.cfg.nQubits"), SchemaError);
   // Duplicate section names are rejected at add time.

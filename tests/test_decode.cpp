@@ -142,12 +142,12 @@ TEST(Decode, BatchBasBitIdenticalAcrossPolicies) {
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
   opts.seed = 41;
-  opts.exec.decode = DecodePolicy::kFullForward;
+  opts.exec.decode = exec::DecodePolicy::kFullForward;
   const SampleSet ref = batchAutoregressiveSample(net, opts);
   EXPECT_GT(ref.nUnique(), 1u);
   // The kernel policy is only consulted on the kKvCache path (the reference
   // full-forward run above covers the kFullForward side of every combo).
-  opts.exec.decode = DecodePolicy::kKvCache;
+  opts.exec.decode = exec::DecodePolicy::kKvCache;
   for (auto kernel : kAllKernels) {
     opts.exec.kernel = kernel;
     const SampleSet got = batchAutoregressiveSample(net, opts);
@@ -163,9 +163,9 @@ TEST(Decode, ParallelBasBitIdenticalAcrossPolicies) {
   opts.seed = 23;
   for (int ranks : {2, 3}) {
     for (int r = 0; r < ranks; ++r) {
-      opts.exec.decode = DecodePolicy::kFullForward;
+      opts.exec.decode = exec::DecodePolicy::kFullForward;
       const SampleSet ref = parallelBatchSample(net, opts, r, ranks, 8);
-      opts.exec.decode = DecodePolicy::kKvCache;
+      opts.exec.decode = exec::DecodePolicy::kKvCache;
       for (auto kernel : kAllKernels) {
         opts.exec.kernel = kernel;
         const SampleSet inc = parallelBatchSample(net, opts, r, ranks, 8);
@@ -180,8 +180,8 @@ TEST(Decode, SingleSampleBitIdenticalAcrossPolicies) {
   QiankunNet net(smallConfig(10, 2, 3));
   for (std::uint64_t seed : {3u, 17u, 90u}) {
     Rng rngA(seed), rngB(seed);
-    const Bits128 a = autoregressiveSampleOne(net, rngA, DecodePolicy::kFullForward);
-    const Bits128 b = autoregressiveSampleOne(net, rngB, DecodePolicy::kKvCache);
+    const Bits128 a = autoregressiveSampleOne(net, rngA, exec::DecodePolicy::kFullForward);
+    const Bits128 b = autoregressiveSampleOne(net, rngB, exec::DecodePolicy::kKvCache);
     EXPECT_EQ(a, b);
   }
 }
@@ -260,7 +260,7 @@ TEST(Decode, SamplerOptionsExecDefaults) {
   // per-field aliases of the consolidation are gone): defaults decode on the
   // KV cache with auto kernels and the fused sweep enabled.
   SamplerOptions opts;
-  EXPECT_EQ(opts.exec.decode, DecodePolicy::kKvCache);
+  EXPECT_EQ(opts.exec.decode, exec::DecodePolicy::kKvCache);
   EXPECT_EQ(opts.exec.kernel, nn::kernels::KernelPolicy::kAuto);
   EXPECT_EQ(opts.exec.sweepTileRows, 0);
   EXPECT_TRUE(opts.exec.fusedSweep);

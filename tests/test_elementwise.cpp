@@ -211,26 +211,29 @@ TEST(ElementwiseKernels, LayerNormBackwardBackendsBitIdentical) {
 }
 
 TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
-  // The Gelu / LayerNorm modules (full-forward path) must produce exactly the
-  // scalar kernel sequences — that is what keeps full-forward and KV-decode
-  // sampling bit-identical.
+  // The Gelu / LayerNorm modules (the tape forward, i.e. the full-forward
+  // path) must produce exactly the scalar kernel sequences — that is what
+  // keeps full-forward and KV-decode sampling bit-identical.
   Rng rng(407);
   Gelu g;
   Tensor x({3, 7});
   x.randn(rng, 2.0);
-  const Tensor y = g.forward(x, GradMode::kInference);
+  Tape tape;
+  tape.reset();
+  Gelu::TapeFrame gf;
+  const Real* y = g.forwardTape(tape, gf, x.data.data(), x.numel());
   for (Index i = 0; i < x.numel(); ++i)
-    EXPECT_EQ(y.data[static_cast<std::size_t>(i)],
-              kernels::geluScalar(x.data[static_cast<std::size_t>(i)]));
+    EXPECT_EQ(y[i], kernels::geluScalar(x.data[static_cast<std::size_t>(i)]));
 
   LayerNorm ln(7, "t");
-  const Tensor ly = ln.forward(x, GradMode::kInference);
+  LayerNorm::TapeFrame lf;
+  const Real* ly = ln.forwardTape(tape, lf, x.data.data(), 3);
   std::vector<Real> xv(x.data.begin(), x.data.end());
   const auto ref = runLn(xv, nullptr, 3, 7,
                          {ln.gamma.value.data.begin(), ln.gamma.value.data.end()},
                          {ln.beta.value.data.begin(), ln.beta.value.data.end()},
                          KernelPolicy::kScalar, false);
-  for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ly.data[i], ref.y[i]);
+  for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ly[i], ref.y[i]);
 }
 
 // ------------------------------------------------------------- Workspace ---

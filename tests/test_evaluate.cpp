@@ -1,11 +1,13 @@
 // Teacher-forced batched evaluate() on the incremental-decode engine:
-// bit-identity with the stateless full-forward path for amplitudes, phases,
+// bit-identity with the tape-based full-forward path for amplitudes, phases,
 // logits, and gradients, across KernelPolicy x DecodePolicy on ragged batch
-// sizes (empty batches, batches larger than one tile), plus the cache
-// invalidation guard of GradMode::kInference evaluates.
+// sizes (empty batches, batches larger than one tile); tiled vs untiled
+// full-forward inference; and the tile-geometry bit-identity of the
+// training step (evaluateGrad).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <vector>
@@ -57,9 +59,8 @@ std::vector<Bits128> numberSector(int n, int na, int nb) {
   return out;
 }
 
-/// ExecutionPolicy with everything default except the eval-engine fields —
-/// the post-alias-removal spelling of "decode policy X, kernel Y, tile Z".
-exec::ExecutionPolicy execFor(DecodePolicy decode,
+/// ExecutionPolicy with everything default except the eval-engine fields.
+exec::ExecutionPolicy execFor(exec::DecodePolicy decode,
                               nn::kernels::KernelPolicy kernel =
                                   nn::kernels::KernelPolicy::kAuto,
                               int evalTileRows = 0) {
@@ -100,11 +101,11 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
     ASSERT_LE(batch, pool.size());
     const std::vector<Bits128> samples(pool.begin(),
                                        pool.begin() + static_cast<long>(batch));
-    net.setEvalPolicy(execFor(DecodePolicy::kFullForward));
+    net.setEvalPolicy(execFor(exec::DecodePolicy::kFullForward));
     std::vector<Real> laRef, phRef;
     net.evaluate(samples, laRef, phRef, nn::GradMode::kInference);
     for (auto kernel : kAllKernels) {
-      net.setEvalPolicy(execFor(DecodePolicy::kKvCache, kernel, /*evalTileRows=*/4));
+      net.setEvalPolicy(execFor(exec::DecodePolicy::kKvCache, kernel, /*evalTileRows=*/4));
       std::vector<Real> la, ph;
       net.evaluate(samples, la, ph, nn::GradMode::kInference);
       ASSERT_EQ(la.size(), laRef.size());
@@ -119,8 +120,9 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
 
 TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
   // TransformerAR level: the teacher-forced sweep's per-position logits are
-  // bit-identical to the corresponding positions of forward(), including
-  // across tile boundaries (batch 10, tileRows 3 -> tiles of 3, 3, 3, 1).
+  // bit-identical to the corresponding positions of the tape forward,
+  // including across tile boundaries (batch 10, tileRows 3 -> tiles of 3, 3,
+  // 3, 1).
   NNQS_SKIP_IF_BLAS();
   const Index L = 7, d = 16, heads = 4, layers = 2, batch = 10;
   Rng rng(41);
@@ -132,7 +134,11 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
     for (Index s = 1; s < L; ++s)
       tokens[static_cast<std::size_t>(b * L + s)] = static_cast<int>(tok.below(4));
   }
-  const nn::Tensor ref = net.forward(tokens, L, nn::GradMode::kInference);
+  nn::Tape tape;
+  tape.reset();
+  nn::TransformerAR::TapeFrame frame;
+  const Real* y = net.forwardTape(tape, frame, tokens.data(), batch * L, L);
+  const std::vector<Real> ref(y, y + batch * L * 4);
 
   for (auto kernel : kAllKernels) {
     std::vector<Real> got(static_cast<std::size_t>(batch * L * 4), -1.0);
@@ -144,9 +150,9 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
                              got[static_cast<std::size_t>(((t0 + b) * L + s) * 4 + t)] =
                                  logits[b * 4 + t];
                        });
-    ASSERT_EQ(got.size(), ref.data.size());
+    ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-      EXPECT_EQ(got[i], ref.data[i]) << "logit " << i;
+      EXPECT_EQ(got[i], ref[i]) << "logit " << i;
   }
 }
 
@@ -175,9 +181,9 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   samples.resize(9);
   samples.push_back(numberSector(n, na + 1, nb)[0]);
 
-  net.setEvalPolicy(execFor(DecodePolicy::kFullForward));
+  net.setEvalPolicy(execFor(exec::DecodePolicy::kFullForward));
   const std::vector<Complex> ref = net.psi(samples);
-  net.setEvalPolicy(execFor(DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/4));
+  net.setEvalPolicy(execFor(exec::DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/4));
   const std::vector<Complex> got = net.psi(samples);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -187,11 +193,11 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   EXPECT_EQ(got.back(), (Complex{0.0, 0.0}));  // outside the sector
 }
 
-TEST(Evaluate, GradientsAfterCachedEvaluateMatchAcrossPolicies) {
-  // The VMC gradient stage: evaluate(GradMode::kRecordTape) + backward() must fill
-  // bit-identical gradients whether the net's inference policy is decode or
-  // full-forward (the cached evaluate itself always runs full-forward; the
-  // policy must not leak into the gradient path).
+TEST(Evaluate, GradientsAfterInferenceEvaluateMatchAcrossPolicies) {
+  // The VMC gradient stage as one training tape spanning the batch
+  // (gradTileRows < 0) must fill bit-identical gradients whether the net's
+  // inference policy is decode or full-forward, with an inference evaluate
+  // of either engine run first (the policy must not leak into training).
   NNQS_SKIP_IF_BLAS();
   const int n = 10, na = 2, nb = 2;
   const auto samples = [&] {
@@ -202,21 +208,23 @@ TEST(Evaluate, GradientsAfterCachedEvaluateMatchAcrossPolicies) {
   const std::vector<Real> dLa = {0.7, -1.1, 0.4, 0.3, -0.2, 0.9};
   const std::vector<Real> dPh = {0.2, 0.9, -0.5, 1.3, 0.8, -0.6};
 
-  auto gradsUnder = [&](DecodePolicy policy) {
+  auto gradsUnder = [&](exec::DecodePolicy policy) {
     QiankunNet net(smallConfig(n, na, nb, 77));
-    net.setEvalPolicy(execFor(policy, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2));
+    exec::ExecutionPolicy ex =
+        execFor(policy, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2);
+    ex.gradTileRows = -1;
+    net.setEvalPolicy(ex);
     // An inference evaluate first, as the VMC loop interleaves them; it must
-    // not perturb the subsequent cached evaluate + backward.
+    // not perturb the subsequent training step.
     std::vector<Real> la, ph;
     net.evaluate(samples, la, ph, nn::GradMode::kInference);
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    net.backward(dLa, dPh);
+    net.evaluateGrad(samples, dLa, dPh);
     std::vector<Real> grads;
     net.flattenGradients(grads);
     return grads;
   };
-  const auto ref = gradsUnder(DecodePolicy::kFullForward);
-  const auto got = gradsUnder(DecodePolicy::kKvCache);
+  const auto ref = gradsUnder(exec::DecodePolicy::kFullForward);
+  const auto got = gradsUnder(exec::DecodePolicy::kKvCache);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]) << i;
 }
@@ -224,8 +232,8 @@ TEST(Evaluate, GradientsAfterCachedEvaluateMatchAcrossPolicies) {
 TEST(Evaluate, GradcheckWithDecodePathLoss) {
   // Numeric gradcheck of the VMC loss where every finite-difference forward
   // runs the *decode-path* evaluate (multi-tile: tileRows 2 on batch 3) while
-  // the analytic gradients come from the cached full-forward + backward():
-  // the two paths must describe the same function.
+  // the analytic gradients come from the training tape (evaluateGrad): the
+  // two paths must describe the same function.
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 8;
   cfg.nAlpha = 2;
@@ -237,7 +245,7 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
   cfg.phaseHiddenLayers = 1;
   cfg.seed = 77;
   QiankunNet net(cfg);
-  net.setEvalPolicy(execFor(DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2));
+  net.setEvalPolicy(execFor(exec::DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2));
   const std::vector<Bits128> samples = {fromBitString("00001111"),
                                         fromBitString("00111100"),
                                         fromBitString("11000011")};
@@ -250,11 +258,7 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
       s += cA[i] * la[i] + cP[i] * ph[i];
     return s;
   };
-  {
-    std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    net.backward(cA, cP);
-  }
+  net.evaluateGrad(samples, cA, cP);
   Rng rng(123);
   for (nn::Parameter* p : net.parameters()) {
     const std::size_t nEl = p->value.data.size();
@@ -268,39 +272,60 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
   }
 }
 
-TEST(Evaluate, CacheFalseInvalidatesLikeTheModules) {
-  // An inference-mode evaluate — either engine — must invalidate the previously
-  // cached evaluate: a stale backward() throws instead of silently mixing
-  // old cachedProbs_ with fresh (or missing) activations.
-  const int n = 8, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(3);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.1, 0.2, 0.3}, dPh = {0.4, 0.5, 0.6};
-  for (DecodePolicy policy : {DecodePolicy::kFullForward, DecodePolicy::kKvCache}) {
-    QiankunNet net(smallConfig(n, na, nb));
-    net.setEvalPolicy(execFor(policy));
+TEST(Evaluate, TiledFullForwardMatchesUntiled) {
+  // Full-forward inference runs the tape forward in tiles of evalTileRows
+  // samples; every tiling, the default included, must reproduce one tile
+  // spanning the batch (evalTileRows < 0) bit for bit, amplitudes and
+  // phases.  Same for the prefix conditionals the full-forward sampler uses.
+  NNQS_SKIP_IF_BLAS();
+  const int n = 12, na = 3, nb = 2;
+  QiankunNet net(smallConfig(n, na, nb, 31));
+  std::vector<Bits128> samples = numberSector(n, na, nb);
+  samples.resize(70);
+  samples.push_back(numberSector(n, na + 1, nb)[0]);  // outside the sector
+  const int s = 3;
+  std::vector<int> prefixes;
+  std::vector<std::array<int, 2>> counts;
+  for (const Bits128& x : samples) {
+    int up = 0, down = 0;
+    for (int j = 0; j < s; ++j) {
+      const int t = net.tokenOf(x, j);
+      prefixes.push_back(t);
+      up += t & 1;
+      down += (t >> 1) & 1;
+    }
+    counts.push_back({up, down});
+  }
+  const int batch = static_cast<int>(samples.size());
+
+  net.setEvalPolicy(execFor(exec::DecodePolicy::kFullForward,
+                            nn::kernels::KernelPolicy::kAuto, -1));
+  std::vector<Real> laRef, phRef;
+  net.evaluate(samples, laRef, phRef, nn::GradMode::kInference);
+  const std::vector<Real> condRef = net.conditionals(prefixes, batch, s, counts);
+  for (int tile : {1, 3, 32, 0}) {
+    net.setEvalPolicy(execFor(exec::DecodePolicy::kFullForward,
+                              nn::kernels::KernelPolicy::kAuto, tile));
     std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
     net.evaluate(samples, la, ph, nn::GradMode::kInference);
-    EXPECT_THROW(net.backward(dLa, dPh), std::logic_error);
-    // A fresh cached evaluate restores the gradient path.
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    EXPECT_NO_THROW(net.backward(dLa, dPh));
-    // backward consumed the cache: a second backward throws again.
-    EXPECT_THROW(net.backward(dLa, dPh), std::logic_error);
+    ASSERT_EQ(la.size(), laRef.size());
+    for (std::size_t i = 0; i < la.size(); ++i) {
+      EXPECT_EQ(la[i], laRef[i]) << "tile " << tile << " sample " << i;
+      EXPECT_EQ(ph[i], phRef[i]) << "tile " << tile << " sample " << i;
+    }
+    const std::vector<Real> cond = net.conditionals(prefixes, batch, s, counts);
+    ASSERT_EQ(cond.size(), condRef.size());
+    for (std::size_t i = 0; i < cond.size(); ++i)
+      EXPECT_EQ(cond[i], condRef[i]) << "tile " << tile << " prob " << i;
   }
 }
 
-TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
-  // The recompute-in-tiles training step must fill parameter gradients
-  // bit-identical to the monolithic cached-activation reference
-  // (gradTileRows = -1) at every tile geometry: degenerate single-sample
-  // tiles, a ragged last tile (32 on batch 70 -> 32, 32, 6), one tile
-  // larger than the batch (256 > 70, single ragged tile), an exact-batch
-  // tile, and the engine default (0).
+TEST(EvaluateGrad, TiledBitIdenticalToOneTileAcrossTileGeometries) {
+  // The training step must fill parameter gradients bit-identical to one
+  // tile spanning the batch (gradTileRows = -1) at every tile geometry:
+  // degenerate single-sample tiles, ragged last tiles (3 on batch 70 ->
+  // 23 x 3 + 1; 32 -> 32, 32, 6), one tile larger than the batch (256 > 70),
+  // an exact-batch tile, and the engine default (0).
   NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   const auto samples = [&] {
@@ -323,9 +348,9 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
     net.flattenGradients(g);
     return g;
   };
-  const auto ref = gradsWithTile(-1);  // monolithic full-batch reference
+  const auto ref = gradsWithTile(-1);  // one tile spanning the batch
   ASSERT_FALSE(ref.empty());
-  for (int tile : {1, 32, 256, static_cast<int>(samples.size()), 0}) {
+  for (int tile : {1, 3, 32, 256, static_cast<int>(samples.size()), 0}) {
     const auto got = gradsWithTile(tile);
     ASSERT_EQ(ref.size(), got.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
@@ -334,8 +359,8 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
 }
 
 TEST(EvaluateGrad, EmptyBatchLeavesGradientsZero) {
-  // Ranks that received no samples call the same training step; both the
-  // tiled and the monolithic engines must accept the empty batch.
+  // Ranks that received no samples call the same training step; every tile
+  // setting must accept the empty batch.
   const std::vector<Bits128> none;
   const std::vector<Real> zero;
   for (int tile : {-1, 0, 8}) {
@@ -364,8 +389,8 @@ TEST(EvaluateGrad, RejectsMismatchedSeedLengths) {
 }
 
 TEST(EvaluateGrad, DecodePolicyDoesNotLeakIntoTiledGradients) {
-  // evaluateGrad always re-runs the recording full forward per tile; the
-  // inference engine selected for evaluate()/psi() must not perturb it,
+  // evaluateGrad always runs the tape forward per tile; the inference
+  // engine selected for evaluate()/psi() must not perturb it,
   // even with an inference evaluate interleaved (the VMC loop's shape).
   NNQS_SKIP_IF_BLAS();
   const int n = 10, na = 2, nb = 2;
@@ -376,7 +401,7 @@ TEST(EvaluateGrad, DecodePolicyDoesNotLeakIntoTiledGradients) {
   }();
   const std::vector<Real> dLa = {0.7, -1.1, 0.4, 0.3, -0.2, 0.9, 0.1, -0.8, 0.5, 1.2, -0.3};
   const std::vector<Real> dPh = {0.2, 0.9, -0.5, 1.3, 0.8, -0.6, 0.4, -1.0, 0.7, -0.1, 0.6};
-  auto gradsUnder = [&](DecodePolicy policy) {
+  auto gradsUnder = [&](exec::DecodePolicy policy) {
     QiankunNet net(smallConfig(n, na, nb, 77));
     exec::ExecutionPolicy ex;
     ex.decode = policy;
@@ -389,8 +414,8 @@ TEST(EvaluateGrad, DecodePolicyDoesNotLeakIntoTiledGradients) {
     net.flattenGradients(g);
     return g;
   };
-  const auto ref = gradsUnder(DecodePolicy::kFullForward);
-  const auto got = gradsUnder(DecodePolicy::kKvCache);
+  const auto ref = gradsUnder(exec::DecodePolicy::kFullForward);
+  const auto got = gradsUnder(exec::DecodePolicy::kKvCache);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]) << i;
 }
@@ -419,82 +444,3 @@ TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {
   EXPECT_EQ(warm.highWater, cold.highWater);
   EXPECT_EQ(warm.capacity, cold.capacity);
 }
-
-TEST(EvaluateGrad, StaleBackwardNamesTheModuleAndTheInvalidator) {
-  // The typed stale-tape error must say *which* module refused and *what*
-  // invalidated its recording (checkpoint.hpp typed-error style), so a
-  // misuse report is actionable without a debugger.
-  const int n = 8, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(3);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.1, 0.2, 0.3}, dPh = {0.4, 0.5, 0.6};
-  QiankunNet net(smallConfig(n, na, nb));
-  std::vector<Real> la, ph;
-  auto expectBackwardError = [&](const char* expectReason) {
-    try {
-      net.backward(dLa, dPh);
-      FAIL() << "expected StaleTapeError (" << expectReason << ")";
-    } catch (const nn::StaleTapeError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("QiankunNet"), std::string::npos) << what;
-      EXPECT_NE(what.find(expectReason), std::string::npos) << what;
-    }
-  };
-  // Never recorded.
-  expectBackwardError(nn::stale::kNeverRecorded);
-  // Recorded, then invalidated by an inference forward.
-  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-  net.evaluate(samples, la, ph, nn::GradMode::kInference);
-  expectBackwardError(nn::stale::kInferenceForward);
-  // Recorded, then invalidated by a tape-recording (evaluateGrad) pass.
-  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-  net.evaluateGrad(samples, dLa, dPh);
-  expectBackwardError(nn::stale::kTapeForward);
-  // Recorded, consumed by one backward; the second names the consumption.
-  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-  EXPECT_NO_THROW(net.backward(dLa, dPh));
-  expectBackwardError("already consumed by a previous backward");
-}
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(EvaluateGrad, DeprecatedBoolAndTwoArgOverloadsStillWork) {
-  // One-release compatibility shims: the bool-cache evaluate and the
-  // two-argument setEvalPolicy must keep behaving exactly like their
-  // replacements until they are removed.
-  NNQS_SKIP_IF_BLAS();
-  const int n = 10, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(5);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.7, -1.1, 0.4, 0.3, -0.2};
-  const std::vector<Real> dPh = {0.2, 0.9, -0.5, 1.3, 0.8};
-  QiankunNet neu(smallConfig(n, na, nb, 9));
-  QiankunNet old(smallConfig(n, na, nb, 9));
-  neu.setEvalPolicy(
-      execFor(DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, 2));
-  old.setEvalPolicy(execFor(DecodePolicy::kKvCache), /*tileRows=*/2);
-  std::vector<Real> laN, phN, laO, phO;
-  neu.evaluate(samples, laN, phN, nn::GradMode::kInference);
-  old.evaluate(samples, laO, phO, /*cache=*/false);
-  ASSERT_EQ(laN.size(), laO.size());
-  for (std::size_t i = 0; i < laN.size(); ++i) {
-    EXPECT_EQ(laN[i], laO[i]) << i;
-    EXPECT_EQ(phN[i], phO[i]) << i;
-  }
-  neu.evaluate(samples, laN, phN, nn::GradMode::kRecordTape);
-  old.evaluate(samples, laO, phO, /*cache=*/true);
-  neu.backward(dLa, dPh);
-  old.backward(dLa, dPh);
-  std::vector<Real> gN, gO;
-  neu.flattenGradients(gN);
-  old.flattenGradients(gO);
-  ASSERT_EQ(gN.size(), gO.size());
-  for (std::size_t i = 0; i < gN.size(); ++i) EXPECT_EQ(gN[i], gO[i]) << i;
-}
-#pragma GCC diagnostic pop

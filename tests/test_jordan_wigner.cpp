@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include <omp.h>
+
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
 #include "fci/fci.hpp"
@@ -109,6 +111,29 @@ TEST(JordanWigner, TermCountScalesAsN4) {
   const SpinHamiltonian h2o = jordanWigner(moFor("H2O"));
   EXPECT_GT(h2o.nTerms(), 50 * h2.nTerms() / 10);
   EXPECT_LT(h2o.nTerms(), 3000u);
+}
+
+TEST(JordanWigner, BitIdenticalAcrossCallsAndThreadCounts) {
+  // The two-body sum runs in parallel; its coefficients must still come out
+  // bit for bit the same on every call and at every thread count (the
+  // determinism contract every later stage relies on).
+  const auto mo = moFor("H2O");
+  const int saved = omp_get_max_threads();
+  auto jwAt = [&](int threads) {
+    omp_set_num_threads(threads);
+    return jordanWigner(mo);
+  };
+  const SpinHamiltonian ref = jwAt(4);
+  for (int threads : {4, 4, 1, 3}) {
+    const SpinHamiltonian h = jwAt(threads);
+    ASSERT_EQ(h.nTerms(), ref.nTerms()) << threads << " threads";
+    EXPECT_EQ(h.constant, ref.constant) << threads << " threads";
+    for (std::size_t i = 0; i < ref.nTerms(); ++i) {
+      EXPECT_EQ(h.strings[i], ref.strings[i]) << threads << " threads, term " << i;
+      EXPECT_EQ(h.coeffs[i], ref.coeffs[i]) << threads << " threads, term " << i;
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 TEST(JordanWigner, ParticleNumberConserved) {

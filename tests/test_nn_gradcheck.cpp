@@ -28,7 +28,7 @@ void gradcheckParams(std::vector<Parameter*> params, const Fwd& forwardLoss,
                      const std::function<void()>& backwardSeed, Real tol,
                      int samplesPerParam = 3) {
   for (Parameter* p : params) p->grad.setZero();
-  backwardSeed();  // run cached forward + backward once, filling grads
+  backwardSeed();  // run one forward + backward, filling grads
   Rng rng(123);
   for (Parameter* p : params) {
     const std::size_t n = p->value.data.size();
@@ -44,6 +44,9 @@ void gradcheckParams(std::vector<Parameter*> params, const Fwd& forwardLoss,
 
 }  // namespace
 
+// Each module check runs the loss through forwardTape on a fresh scratch
+// tape and the analytic gradient through one forwardTape + backwardTape.
+
 TEST(GradCheck, Linear) {
   Rng rng(7);
   Linear lin(5, 3, rng, "lin");
@@ -51,17 +54,20 @@ TEST(GradCheck, Linear) {
   x.randn(rng, 1.0);
   Tensor w({2, 3});
   w.randn(rng, 1.0);
+  Tape tape;
+  Linear::TapeFrame f;
   auto loss = [&] {
-    const Tensor y = lin.forward(x, GradMode::kInference);
+    tape.reset();
+    const Real* y = lin.forwardTape(tape, f, x.data.data(), 2);
     Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
+    for (std::size_t i = 0; i < w.data.size(); ++i) s += w.data[i] * y[i];
     return s;
   };
   std::vector<Parameter*> params;
   lin.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    lin.forward(x, GradMode::kRecordTape);
-    lin.backward(w);
+    loss();
+    lin.backwardTape(tape, f, w.data.data());
   }, 1e-6, 6);
 }
 
@@ -74,17 +80,20 @@ TEST(GradCheck, LayerNorm) {
   x.randn(rng, 2.0);
   Tensor w({3, 6});
   w.randn(rng, 1.0);
+  Tape tape;
+  LayerNorm::TapeFrame f;
   auto loss = [&] {
-    const Tensor y = ln.forward(x, GradMode::kInference);
+    tape.reset();
+    const Real* y = ln.forwardTape(tape, f, x.data.data(), 3);
     Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
+    for (std::size_t i = 0; i < w.data.size(); ++i) s += w.data[i] * y[i];
     return s;
   };
   std::vector<Parameter*> params;
   ln.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    ln.forward(x, GradMode::kRecordTape);
-    ln.backward(w);
+    loss();
+    ln.backwardTape(tape, f, w.data.data());
   }, 1e-5, 4);
 }
 
@@ -94,17 +103,20 @@ TEST(GradCheck, AttentionAndDecoderStack) {
   const std::vector<int> tokens = {4, 1, 3, 0, 4, 2, 0, 1};  // batch of 2
   Tensor w({2 * 4, 4});
   w.randn(rng, 1.0);
+  Tape tape;
+  TransformerAR::TapeFrame f;
   auto loss = [&] {
-    const Tensor y = net.forward(tokens, 4, GradMode::kInference);
+    tape.reset();
+    const Real* y = net.forwardTape(tape, f, tokens.data(), 8, 4);
     Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
+    for (std::size_t i = 0; i < w.data.size(); ++i) s += w.data[i] * y[i];
     return s;
   };
   std::vector<Parameter*> params;
   net.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    net.forward(tokens, 4, GradMode::kRecordTape);
-    net.backward(w);
+    loss();
+    net.backwardTape(tape, f, w.data.data());
   }, 2e-5, 2);
 }
 
@@ -115,23 +127,28 @@ TEST(GradCheck, PhaseMlp) {
   x.randn(rng, 1.0);
   Tensor w({3, 1});
   w.randn(rng, 1.0);
+  Tape tape;
+  PhaseMlp::TapeFrame f;
   auto loss = [&] {
-    const Tensor y = mlp.forward(x, GradMode::kInference);
+    tape.reset();
+    const Real* y = mlp.forwardTape(tape, f, x.data.data(), 3);
     Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
+    for (std::size_t i = 0; i < w.data.size(); ++i) s += w.data[i] * y[i];
     return s;
   };
   std::vector<Parameter*> params;
   mlp.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    mlp.forward(x, GradMode::kRecordTape);
-    mlp.backward(w);
+    loss();
+    mlp.backwardTape(tape, f, w.data.data());
   }, 1e-6, 3);
 }
 
 TEST(GradCheck, QiankunNetVmcLoss) {
   // End-to-end: L = sum_i [cA_i ln|Psi(x_i)| + cP_i phi(x_i)] — exactly the
-  // seed structure of the VMC gradient (Eq. 7).
+  // seed structure of the VMC gradient (Eq. 7).  Analytic gradients from one
+  // training tape spanning the batch (gradTileRows < 0); the finite
+  // differences run the full-forward inference engine.
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 8;
   cfg.nAlpha = 2;
@@ -143,6 +160,10 @@ TEST(GradCheck, QiankunNetVmcLoss) {
   cfg.phaseHiddenLayers = 1;
   cfg.seed = 77;
   nqs::QiankunNet net(cfg);
+  exec::ExecutionPolicy ex;
+  ex.decode = exec::DecodePolicy::kFullForward;
+  ex.gradTileRows = -1;
+  net.setEvalPolicy(ex);
   const std::vector<Bits128> samples = {fromBitString("00001111"),
                                         fromBitString("00111100"),
                                         fromBitString("11000011")};
@@ -156,9 +177,7 @@ TEST(GradCheck, QiankunNetVmcLoss) {
     return s;
   };
   gradcheckParams(net.parameters(), loss, [&] {
-    std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, GradMode::kRecordTape);
-    net.backward(cA, cP);
+    net.evaluateGrad(samples, cA, cP);
   }, 5e-5, 2);
 }
 

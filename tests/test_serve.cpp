@@ -54,7 +54,6 @@ void referenceValues(const io::CheckpointReader& ckpt,
                      const std::vector<Bits128>& sector,
                      std::vector<Real>& logAmp, std::vector<Real>& phase) {
   auto net = io::makeNet(ckpt);
-  net->prepareConcurrent();
   nqs::QiankunNet::EvalSlot slot;
   net->evaluateInto(slot, sector, logAmp, phase);
 }
@@ -115,6 +114,60 @@ TEST(Serve, ServedBitsMatchDirectEvaluateUnderConcurrency) {
   EXPECT_EQ(st.served, st.enqueued);
   EXPECT_GT(st.batches, 0u);
   server.shutdown();
+}
+
+TEST(Serve, ConcurrentEvaluateIntoAfterTrainingNeedsNoPreparation) {
+  // Inference writes no network state, so a net that has just trained
+  // (evaluateGrad) and run a full-forward evaluate serves concurrent
+  // evaluateInto calls as is: no prepareConcurrent().  Under TSan this is
+  // the race check of that claim.  Shapes stay below every OpenMP threshold
+  // (tiles of 2 samples), so only the test's own threads run.
+  nqs::QiankunNet net(smallConfig(37));
+  const auto sector = numberSector(8, 2, 2);
+  exec::ExecutionPolicy ex;
+  ex.decode = exec::DecodePolicy::kFullForward;
+  ex.kernel = nn::kernels::KernelPolicy::kSimd;
+  ex.evalTileRows = 2;
+  ex.gradTileRows = 2;
+  net.setEvalPolicy(ex);
+  const std::vector<Bits128> train(sector.begin(), sector.begin() + 4);
+  net.evaluateGrad(train, {0.3, -0.2, 0.1, 0.4}, {0.1, 0.2, -0.3, 0.05});
+  std::vector<Real> la, ph;
+  net.evaluate(sector, la, ph, nn::GradMode::kInference);
+
+  std::vector<Real> refLa, refPh;
+  {
+    nqs::QiankunNet::EvalSlot slot;
+    net.evaluateInto(slot, sector, refLa, refPh);
+  }
+  // The served engine and the full-forward engine agree bit for bit.
+  ASSERT_EQ(la.size(), refLa.size());
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    EXPECT_EQ(la[i], refLa[i]) << i;
+    EXPECT_EQ(ph[i], refPh[i]) << i;
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Real>> gotLa(kThreads), gotPh(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      nqs::QiankunNet::EvalSlot slot;
+      for (int rep = 0; rep < 3; ++rep)
+        net.evaluateInto(slot, sector, gotLa[static_cast<std::size_t>(t)],
+                         gotPh[static_cast<std::size_t>(t)]);
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& gl = gotLa[static_cast<std::size_t>(t)];
+    const auto& gp = gotPh[static_cast<std::size_t>(t)];
+    ASSERT_EQ(gl.size(), refLa.size()) << "thread " << t;
+    for (std::size_t i = 0; i < gl.size(); ++i) {
+      EXPECT_EQ(gl[i], refLa[i]) << "thread " << t << " row " << i;
+      EXPECT_EQ(gp[i], refPh[i]) << "thread " << t << " row " << i;
+    }
+  }
 }
 
 TEST(Serve, BackpressureRejectsInsteadOfBlocking) {

@@ -104,8 +104,8 @@ TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
   for (int tileRows : {0, -1, 3}) {
-    for (DecodePolicy decode :
-         {DecodePolicy::kKvCache, DecodePolicy::kFullForward}) {
+    for (exec::DecodePolicy decode :
+         {exec::DecodePolicy::kKvCache, exec::DecodePolicy::kFullForward}) {
       opts.exec.sweepTileRows = tileRows;
       opts.exec.decode = decode;
       const SampleSet s = sweepCopy(net, opts);
@@ -152,7 +152,7 @@ TEST(Sweep, PrefixFreeMatchesPrefixCarryingSweep) {
   expectSameSet(bits, prefixes, "prefix-carrying kv");
 
   opts.carryTokenPrefixes = false;
-  opts.exec.decode = DecodePolicy::kFullForward;
+  opts.exec.decode = exec::DecodePolicy::kFullForward;
   const SampleSet ff = sweepCopy(net, opts);
   expectSameSet(bits, ff, "full-forward");
 }
